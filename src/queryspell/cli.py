@@ -15,11 +15,13 @@ from pathlib import Path
 
 from . import datagen
 from .dictionary import (DEFAULT_MAX_EDIT_DISTANCE, DEFAULT_PREFIX_LENGTH,
-                         build_delete_index, load_dictionary, write_dictionary)
+                         build_delete_index, load_dictionary, load_dictionary_dir,
+                         write_dictionary_dir)
 from .errors import SpellerError
 from .evaluate import evaluate, format_report, load_eval_records
 from .features import DEFAULT_APPLICATIONS, DEFAULT_LOCALES, FeatureSchema, RequestContext
-from .pipeline import correct_query, refresh_behavioral_stats
+from .pipeline import (DEFAULT_MIN_NEW_TERM_COUNT, correct_query,
+                       refresh_behavioral_stats)
 from .ranker import Hyperparams, build_training_set, save_model, train
 from .service import ServiceConfig, load_artifacts, load_config, run_server
 
@@ -32,20 +34,8 @@ def _context_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_build_index(args) -> int:
     dictionary = load_dictionary(args.lexicon, args.vocab, args.stats, args.locale)
     index = build_delete_index(dictionary, args.max_edit_distance, args.prefix_length)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dictionary(dictionary, out / "dictionary.tsv", out / "stats.tsv")
-    manifest = {
-        "terms": len(dictionary),
-        "variants": len(index),
-        "locale": args.locale,
-        "prefix_length": args.prefix_length,
-        "max_edit_distance": args.max_edit_distance,
-        "max_counts": dictionary.max_counts,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True),
-                                       encoding="utf-8")
-    print(f"wrote {len(dictionary)} terms, {len(index)} index variants -> {out}")
+    write_dictionary_dir(args.out_dir, dictionary, index)
+    print(f"wrote {len(dictionary)} terms, {len(index)} index variants -> {args.out_dir}")
     return 0
 
 
@@ -62,8 +52,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dictionary, index = _load_dict_dir(args.dict, args.locale,
-                                       args.max_edit_distance, args.prefix_length)
+    dictionary, index, _ = load_dictionary_dir(args.dict)
     schema = FeatureSchema(tuple(args.locales.split(",")),
                            tuple(args.applications.split(",")))
     context = RequestContext(args.locale, args.application)
@@ -79,27 +68,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_dict_dir(dict_dir, locale, max_edit_distance, prefix_length):
-    base = Path(dict_dir)
-    stats = base / "stats.tsv"
-    dictionary = load_dictionary(base / "dictionary.tsv",
-                                 stats_file=stats if stats.exists() else None,
-                                 locale=locale)
-    index = build_delete_index(dictionary, max_edit_distance, prefix_length)
-    return dictionary, index
+def _corrector(args):
+    """correct_query over the artifacts named by --artifacts, in the request
+    context of --locale/--application."""
+    config = ServiceConfig(artifact_dir=Path(args.artifacts), locale=args.locale,
+                           application=args.application, tau=args.tau)
+    artifacts = load_artifacts(config)
+    context = RequestContext(args.locale, args.application)
+    return lambda query: correct_query(query, context, artifacts)
 
 
 def _cmd_correct(args) -> int:
-    config = ServiceConfig(artifact_dir=Path(args.artifacts),
-                           locale=args.locale, application=args.application,
-                           tau=args.tau)
-    artifacts = load_artifacts(config)
-    context = RequestContext(args.locale, args.application)
+    correct = _corrector(args)
     queries = args.queries or [line.rstrip("\n") for line in sys.stdin]
     for query in queries:
         if not query.strip():
             continue
-        result = correct_query(query, context, artifacts)
+        result = correct(query)
         confidence = min((tc.confidence for tc in result.tokens), default=1.0)
         print(f"{query}\t{result.corrected}\t{confidence:.4f}")
     return 0
@@ -108,12 +93,8 @@ def _cmd_correct(args) -> int:
 def _cmd_eval(args) -> int:
     predictor = None
     if args.artifacts:
-        config = ServiceConfig(artifact_dir=Path(args.artifacts),
-                               locale=args.locale, application=args.application,
-                               tau=args.tau)
-        artifacts = load_artifacts(config)
-        context = RequestContext(args.locale, args.application)
-        predictor = lambda q: correct_query(q, context, artifacts).corrected
+        correct = _corrector(args)
+        predictor = lambda q: correct(q).corrected
     records = load_eval_records(args.data, predictor)
     report = evaluate(records)
     print(format_report(report))
@@ -130,12 +111,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_refresh(args) -> int:
-    base = Path(args.artifacts)
-    dictionary, index = _load_dict_dir(base, args.locale,
-                                       args.max_edit_distance, args.prefix_length)
+    dictionary, index, _ = load_dictionary_dir(args.artifacts)
     new_dict, new_index = refresh_behavioral_stats(
-        args.log, dictionary, min_new_term_count=args.min_count, index=index)
-    write_dictionary(new_dict, base / "dictionary.tsv", base / "stats.tsv")
+        args.log, dictionary, index, min_new_term_count=args.min_count)
+    write_dictionary_dir(args.artifacts, new_dict, new_index)
     print(f"refreshed: {len(dictionary)} -> {len(new_dict)} terms, "
           f"{len(new_index)} index variants")
     return 0
@@ -153,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="extra custom-vocabulary TSV (repeatable)")
     p.add_argument("--stats", default=None,
                    help="term<TAB>asset_frequency<TAB>download_count TSV")
-    p.add_argument("--locale", default="en")
+    # Recorded in manifest.json; every other command reads them from there.
+    p.add_argument("--locale", default="en", help="dictionary locale")
     p.add_argument("--prefix-length", type=int, default=DEFAULT_PREFIX_LENGTH)
     p.add_argument("--max-edit-distance", type=int, default=DEFAULT_MAX_EDIT_DISTANCE)
     p.add_argument("--out-dir", required=True)
@@ -180,8 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--locales", default=",".join(DEFAULT_LOCALES))
     p.add_argument("--applications", default=",".join(DEFAULT_APPLICATIONS))
-    p.add_argument("--prefix-length", type=int, default=DEFAULT_PREFIX_LENGTH)
-    p.add_argument("--max-edit-distance", type=int, default=DEFAULT_MAX_EDIT_DISTANCE)
     _context_args(p)
     p.set_defaults(func=_cmd_train)
 
@@ -210,11 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refresh", help="fold a query log into the artifacts")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--log", required=True, help="query<TAB>count TSV")
-    p.add_argument("--min-count", type=int, default=100,
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_NEW_TERM_COUNT,
                    help="occurrences before a new term enters the dictionary")
-    p.add_argument("--locale", default="en")
-    p.add_argument("--prefix-length", type=int, default=DEFAULT_PREFIX_LENGTH)
-    p.add_argument("--max-edit-distance", type=int, default=DEFAULT_MAX_EDIT_DISTANCE)
     p.set_defaults(func=_cmd_refresh)
 
     return parser
@@ -238,3 +213,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

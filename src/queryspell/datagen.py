@@ -12,9 +12,8 @@ import random
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .dictionary import normalize_term
+from .dictionary import iter_tsv, normalize_term
 from .errors import LoadError
 
 
@@ -288,18 +287,10 @@ def load_misspelling_corpus(path) -> list[tuple[str, str]]:
     (they are frequency evidence).
     """
     pairs: list[tuple[str, str]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+    for line_no, (bad, good) in iter_tsv(path, "misspelled", "correct"):
+        if not bad.strip() or not good.strip():
             raise LoadError("expected 'misspelled<TAB>correct'", path, line_no)
-        pairs.append((normalize_term(fields[0].strip()),
-                      normalize_term(fields[1].strip())))
+        pairs.append((normalize_term(bad.strip()), normalize_term(good.strip())))
     return pairs
 
 
@@ -313,16 +304,6 @@ def write_dataset(path, errored: list[ErroredQuery]) -> None:
 
 def load_dataset(path) -> list[tuple[str, str, list[str]]]:
     """Read the generated-dataset TSV back as (corrupted, original, types)."""
-    rows: list[tuple[str, str, list[str]]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise LoadError("expected 3 tab-separated fields", path, line_no)
-        rows.append((fields[0], fields[1], fields[2].split(",") if fields[2] else []))
-    return rows
+    return [(corrupted, original, kinds.split(",") if kinds else [])
+            for _, (corrupted, original, kinds)
+            in iter_tsv(path, "corrupted", "original", "error types")]

@@ -10,6 +10,8 @@ token instead of the full insert/replace/transpose neighborhood.
 
 from __future__ import annotations
 
+import json
+import os
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,6 +21,8 @@ from .errors import ConfigError, LoadError
 
 DEFAULT_MAX_EDIT_DISTANCE = 2
 DEFAULT_PREFIX_LENGTH = 7
+DEFAULT_LOCALE = "en"
+MANIFEST_FILE = "manifest.json"
 
 _COUNT_FIELDS = ("word_count", "asset_frequency", "download_count")
 
@@ -61,7 +65,7 @@ class FrequencyDictionary:
     swapping it in wholesale.
     """
 
-    def __init__(self, locale: str = "en"):
+    def __init__(self, locale: str = DEFAULT_LOCALE):
         self.locale = locale
         self._entries: dict[str, DictionaryEntry] = {}
         self._max = {name: 0 for name in _COUNT_FIELDS}
@@ -227,7 +231,9 @@ def build_delete_index(dictionary: FrequencyDictionary,
     return DeleteIndex(terms, frozen, max_edit_distance, prefix_length)
 
 
-def _parse_count(raw: str, path, line_no: int, what: str) -> int:
+def parse_count(raw: str, path, line_no: int, what: str) -> int:
+    """A non-negative integer field of a data file, or a LoadError naming
+    the file and line."""
     try:
         value = int(raw)
     except ValueError:
@@ -237,55 +243,59 @@ def _parse_count(raw: str, path, line_no: int, what: str) -> int:
     return value
 
 
-def _iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, fields) for non-comment, non-blank lines."""
+def iter_tsv(path, *columns: str, optional: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, fields) for the non-comment, non-blank lines of a TSV
+    file laid out as ``columns``, of which the last ``optional`` may be
+    left out.  Any other field count is a LoadError naming the line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(str(exc), path) from exc
+    need = len(columns) - optional
+    layout = "<TAB>".join(columns[:need]) + "".join(f"[<TAB>{c}]" for c in columns[need:])
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        yield line_no, line.split("\t")
+        fields = line.split("\t")
+        if not need <= len(fields) <= len(columns):
+            raise LoadError(f"expected '{layout}', got {len(fields)} fields",
+                            path, line_no)
+        yield line_no, fields
+
+
+def _parse_term(raw: str, path, line_no: int) -> str:
+    term = normalize_term(raw.strip())
+    if not term or any(ch.isspace() for ch in term):
+        raise LoadError(f"bad term field: {raw!r}", path, line_no)
+    return term
 
 
 def _load_term_counts(path, dictionary: FrequencyDictionary) -> None:
     """Lexicon / custom-vocab TSV: ``term<TAB>word_count``."""
-    for line_no, fields in _iter_tsv(path):
-        if len(fields) != 2:
-            raise LoadError(f"expected 2 tab-separated fields, got {len(fields)}",
-                            path, line_no)
-        term = normalize_term(fields[0].strip())
-        if not term or any(ch.isspace() for ch in term):
-            raise LoadError(f"bad term field: {fields[0]!r}", path, line_no)
-        count = _parse_count(fields[1].strip(), path, line_no, "word_count")
-        dictionary.add(term, word_count=count)
+    for line_no, (term, count) in iter_tsv(path, "term", "word_count"):
+        dictionary.add(_parse_term(term, path, line_no),
+                       word_count=parse_count(count, path, line_no, "word_count"))
 
 
 def _load_term_stats(path, dictionary: FrequencyDictionary) -> None:
     """Stats TSV: ``term<TAB>asset_frequency<TAB>download_count``."""
-    for line_no, fields in _iter_tsv(path):
-        if len(fields) != 3:
-            raise LoadError(f"expected 3 tab-separated fields, got {len(fields)}",
-                            path, line_no)
-        term = normalize_term(fields[0].strip())
-        if not term or any(ch.isspace() for ch in term):
-            raise LoadError(f"bad term field: {fields[0]!r}", path, line_no)
-        asset = _parse_count(fields[1].strip(), path, line_no, "asset_frequency")
-        downloads = _parse_count(fields[2].strip(), path, line_no, "download_count")
-        dictionary.add(term, asset_frequency=asset, download_count=downloads)
+    for line_no, (term, assets, downloads) in iter_tsv(path, "term", "asset_frequency",
+                                                        "download_count"):
+        dictionary.add(
+            _parse_term(term, path, line_no),
+            asset_frequency=parse_count(assets, path, line_no, "asset_frequency"),
+            download_count=parse_count(downloads, path, line_no, "download_count"))
 
 
 def load_dictionary(lexicon_file, custom_vocab_files: Iterable = (),
-                    stats_file=None, locale: str = "en") -> FrequencyDictionary:
+                    stats_file=None, locale: str = DEFAULT_LOCALE) -> FrequencyDictionary:
     """Build the frequency dictionary from the union of all sources.
 
     Terms are NFC-lowercased; counters are summed when the same term appears
     in several sources.  Returns a frozen dictionary.
     """
     dictionary = FrequencyDictionary(locale)
-    _load_term_counts(lexicon_file, dictionary)
-    for path in custom_vocab_files:
+    for path in (lexicon_file, *custom_vocab_files):
         _load_term_counts(path, dictionary)
     if stats_file is not None:
         _load_term_stats(stats_file, dictionary)
@@ -294,19 +304,86 @@ def load_dictionary(lexicon_file, custom_vocab_files: Iterable = (),
     return dictionary.freeze()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory and ``os.replace``,
+    so a reader sees the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_dictionary(dictionary: FrequencyDictionary, lexicon_path, stats_path) -> None:
     """Write the dictionary back out in the canonical two-file TSV form.
 
     Output is byte-deterministic: terms sorted, stats rows emitted only for
-    terms with nonzero asset/download counters.
+    terms with nonzero asset/download counters.  Each file is replaced
+    atomically.
     """
-    terms = sorted(dictionary.terms())
-    with open(lexicon_path, "w", encoding="utf-8", newline="\n") as fh:
-        for term in terms:
-            entry = dictionary.get(term)
-            fh.write(f"{term}\t{entry.word_count}\n")
-    with open(stats_path, "w", encoding="utf-8", newline="\n") as fh:
-        for term in terms:
-            entry = dictionary.get(term)
-            if entry.asset_frequency or entry.download_count:
-                fh.write(f"{term}\t{entry.asset_frequency}\t{entry.download_count}\n")
+    entries = [dictionary.get(term) for term in sorted(dictionary.terms())]
+    _write_atomic(Path(lexicon_path),
+                  "".join(f"{e.term}\t{e.word_count}\n" for e in entries))
+    _write_atomic(Path(stats_path),
+                  "".join(f"{e.term}\t{e.asset_frequency}\t{e.download_count}\n"
+                          for e in entries if e.asset_frequency or e.download_count))
+
+
+def _read_manifest(directory) -> dict:
+    """The validated ``manifest.json`` of an artifact directory, or {} when
+    the directory has none."""
+    path = Path(directory) / MANIFEST_FILE
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise LoadError(f"unreadable manifest: {exc}", path) from exc
+    if not isinstance(manifest, dict):
+        raise LoadError("manifest is not a JSON object", path)
+    checks = {"locale": lambda v: isinstance(v, str) and v != "",
+              "prefix_length": lambda v: type(v) is int and v >= 1,
+              "max_edit_distance": lambda v: type(v) is int and 0 <= v <= 2}
+    for key, valid in checks.items():
+        if not valid(manifest.get(key)):
+            raise LoadError(f"bad {key} in manifest: {manifest.get(key)!r}", path)
+    return manifest
+
+
+def load_dictionary_dir(directory) -> tuple[FrequencyDictionary, DeleteIndex, dict]:
+    """Dictionary, delete index and manifest of an artifact directory.
+
+    The index parameters and the dictionary locale come from the manifest
+    that ``write_dictionary_dir`` left there; only a directory without a
+    manifest falls back to the library defaults.
+    """
+    base = Path(directory)
+    lexicon = base / "dictionary.tsv"
+    if not lexicon.exists():
+        raise ConfigError(f"missing dictionary artifact: {lexicon}")
+    manifest = _read_manifest(base)
+    stats = base / "stats.tsv"
+    dictionary = load_dictionary(lexicon, stats_file=stats if stats.exists() else None,
+                                 locale=manifest.get("locale", DEFAULT_LOCALE))
+    index = build_delete_index(
+        dictionary,
+        manifest.get("max_edit_distance", DEFAULT_MAX_EDIT_DISTANCE),
+        manifest.get("prefix_length", DEFAULT_PREFIX_LENGTH))
+    return dictionary, index, manifest
+
+
+def write_dictionary_dir(directory, dictionary: FrequencyDictionary,
+                         index: DeleteIndex) -> None:
+    """Write ``dictionary.tsv``, ``stats.tsv`` and the ``manifest.json`` that
+    records the index parameters, each file replaced atomically."""
+    base = Path(directory)
+    base.mkdir(parents=True, exist_ok=True)
+    write_dictionary(dictionary, base / "dictionary.tsv", base / "stats.tsv")
+    manifest = {
+        "terms": len(dictionary),
+        "variants": len(index),
+        "locale": dictionary.locale,
+        "prefix_length": index.prefix_length,
+        "max_edit_distance": index.max_edit_distance,
+        "max_counts": dictionary.max_counts,
+    }
+    _write_atomic(base / MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True))

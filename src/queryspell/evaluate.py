@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
+from .dictionary import iter_tsv
 from .errors import LoadError
 
 
@@ -88,24 +88,13 @@ def load_eval_records(path, predictor: Callable[[str], str] | None = None
     column.  Rows without a prediction are filled by calling ``predictor``;
     it is an error to omit both."""
     rows: list[EvalRecord] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for line_no, fields in iter_tsv(path, "input", "gold", "predicted", optional=1):
         if len(fields) == 2:
             if predictor is None:
                 raise LoadError("no 'predicted' column and no correction system "
                                 "supplied", path, line_no)
-            rows.append(EvalRecord(fields[0], fields[1], predictor(fields[0])))
-        elif len(fields) == 3:
-            rows.append(EvalRecord(fields[0], fields[1], fields[2]))
-        else:
-            raise LoadError(f"expected 2 or 3 tab-separated fields, got {len(fields)}",
-                            path, line_no)
+            fields.append(predictor(fields[0]))
+        rows.append(EvalRecord(*fields))
     return rows
 
 

@@ -1,6 +1,6 @@
 """Multi-word-expression rewriting: task-specific compound fixes.
 
-A per-application key-value map rewrites known multi-word errors before the
+A key-value map rewrites known multi-word errors before the
 token-level speller runs: "creativecloud" -> "creative cloud" (compound
 split), "photo shop express" -> "photoshop express" (decompounding).
 Matching is greedy longest-match, left to right, in a single pass; replaced
@@ -9,9 +9,7 @@ text is never re-matched.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .dictionary import normalize_term
+from .dictionary import iter_tsv, normalize_term
 from .errors import LoadError
 
 
@@ -19,23 +17,27 @@ def _normalize_phrase(text: str) -> str:
     return " ".join(normalize_term(tok) for tok in text.split())
 
 
-class MweMap:
-    """Frozen phrase-rewrite map for one application."""
+def _add_entry(entries: dict[str, str], key: str, value: str) -> None:
+    """Normalize one rewrite rule into ``entries``, rejecting empty phrases,
+    identity rules and a second, different replacement for a key."""
+    key_n = _normalize_phrase(key)
+    value_n = _normalize_phrase(value)
+    if not key_n or not value_n:
+        raise LoadError(f"empty phrase in MWE entry {key!r} -> {value!r}")
+    if key_n == value_n:
+        raise LoadError(f"MWE key maps to itself: {key_n!r}")
+    if entries.setdefault(key_n, value_n) != value_n:
+        raise LoadError(f"conflicting replacements for MWE key {key_n!r}")
 
-    def __init__(self, entries: dict[str, str], application: str = "default"):
-        self.application = application
+
+class MweMap:
+    """Frozen phrase-rewrite map, applied to every request."""
+
+    def __init__(self, entries: dict[str, str]):
         self.entries: dict[str, str] = {}
-        by_first: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
         for key, value in entries.items():
-            key_n = _normalize_phrase(key)
-            value_n = _normalize_phrase(value)
-            if not key_n or not value_n:
-                raise LoadError(f"empty phrase in MWE entry {key!r} -> {value!r}")
-            if key_n == value_n:
-                raise LoadError(f"MWE key maps to itself: {key_n!r}")
-            if key_n in self.entries and self.entries[key_n] != value_n:
-                raise LoadError(f"conflicting replacements for MWE key {key_n!r}")
-            self.entries[key_n] = value_n
+            _add_entry(self.entries, key, value)
+        by_first: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
         for key_n, value_n in self.entries.items():
             key_tokens = tuple(key_n.split())
             by_first.setdefault(key_tokens[0], []).append(
@@ -50,30 +52,15 @@ class MweMap:
         return len(self.entries)
 
 
-def load_mwe_map(path, application: str = "default") -> MweMap:
+def load_mwe_map(path) -> MweMap:
     """MWE TSV: ``wrong phrase<TAB>replacement phrase``, '#' comments."""
     entries: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LoadError("expected 'wrong phrase<TAB>replacement phrase'",
-                            path, line_no)
-        key = _normalize_phrase(fields[0])
-        value = _normalize_phrase(fields[1])
-        if not key or not value:
-            raise LoadError("empty phrase", path, line_no)
-        if key == value:
-            raise LoadError(f"key maps to itself: {key!r}", path, line_no)
-        if key in entries and entries[key] != value:
-            raise LoadError(f"conflicting replacements for {key!r}", path, line_no)
-        entries[key] = value
-    return MweMap(entries, application)
+    for line_no, (key, value) in iter_tsv(path, "wrong phrase", "replacement phrase"):
+        try:
+            _add_entry(entries, key, value)
+        except LoadError as exc:
+            raise LoadError(str(exc), path, line_no) from None
+    return MweMap(entries)
 
 
 def apply_mwe(query: str, mwe: MweMap | None) -> str:

@@ -15,10 +15,9 @@ import threading
 import time
 import unicodedata
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .dictionary import (DeleteIndex, FrequencyDictionary, build_delete_index,
-                         normalize_term)
+                         iter_tsv, normalize_term, parse_count)
 from .errors import ConfigError, LoadError
 from .features import RequestContext
 from .mwe import MweMap, apply_mwe
@@ -68,23 +67,14 @@ class BoostConfig:
 def load_boost_config(path, tau: float = DEFAULT_TAU) -> BoostConfig:
     """Boost TSV: ``application<TAB>term-or-pattern<TAB>multiplier``."""
     rules: dict[str, list[BoostRule]] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise LoadError("expected 'application<TAB>pattern<TAB>multiplier'",
-                            path, line_no)
+    for line_no, (app, pattern, raw) in iter_tsv(path, "application", "pattern",
+                                                 "multiplier"):
         try:
-            multiplier = float(fields[2])
+            multiplier = float(raw)
         except ValueError:
-            raise LoadError(f"bad multiplier {fields[2]!r}", path, line_no) from None
-        rules.setdefault(fields[0].strip(), []).append(
-            BoostRule(normalize_term(fields[1].strip()), multiplier))
+            raise LoadError(f"bad multiplier {raw!r}", path, line_no) from None
+        rules.setdefault(app.strip(), []).append(
+            BoostRule(normalize_term(pattern.strip()), multiplier))
     return BoostConfig(rules, tau)
 
 
@@ -188,51 +178,29 @@ def correct_query(query: str, context: RequestContext, artifacts: ArtifactSet,
 
 
 def refresh_behavioral_stats(query_log, dictionary: FrequencyDictionary,
+                             index: DeleteIndex,
                              min_new_term_count: int = DEFAULT_MIN_NEW_TERM_COUNT,
-                             max_edit_distance: int | None = None,
-                             prefix_length: int | None = None,
-                             index: DeleteIndex | None = None,
                              ) -> tuple[FrequencyDictionary, DeleteIndex]:
     """Fold recent query-log frequencies into a new dictionary + index.
 
     Log format: ``query<TAB>count``.  Existing terms accumulate the observed
     occurrences into word_count; unseen terms enter the dictionary only when
     they clear ``min_new_term_count`` (so stray misspellings stay out).  The
-    input artifacts are untouched; the caller swaps in the returned pair.
+    new index keeps the parameters of ``index``.  The input artifacts are
+    untouched; the caller swaps in the returned pair.
     """
-    if index is not None:
-        max_edit_distance = index.max_edit_distance
-        prefix_length = index.prefix_length
-    if max_edit_distance is None or prefix_length is None:
-        raise ConfigError("refresh needs index parameters "
-                          "(pass the current index or explicit values)")
     occurrences: dict[str, int] = {}
-    try:
-        text = Path(query_log).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), query_log) from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LoadError("expected 'query<TAB>count'", query_log, line_no)
-        try:
-            count = int(fields[1])
-        except ValueError:
-            raise LoadError(f"bad count {fields[1]!r}", query_log, line_no) from None
-        if count < 0:
-            raise LoadError(f"negative count {count}", query_log, line_no)
-        for token in tokenize(fields[0]):
+    for line_no, (query, raw) in iter_tsv(query_log, "query", "count"):
+        count = parse_count(raw, query_log, line_no, "count")
+        for token in tokenize(query):
             term = normalize_term(token)
             occurrences[term] = occurrences.get(term, 0) + count
 
     refreshed = dictionary.copy()
     for term, count in occurrences.items():
-        if refreshed.contains(term):
-            refreshed.add(term, word_count=count)
-        elif count >= min_new_term_count:
+        if count >= min_new_term_count or refreshed.contains(term):
             refreshed.add(term, word_count=count)
     refreshed.freeze()
-    new_index = build_delete_index(refreshed, max_edit_distance, prefix_length)
+    new_index = build_delete_index(refreshed, index.max_edit_distance,
+                                   index.prefix_length)
     return refreshed, new_index

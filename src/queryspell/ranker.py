@@ -315,8 +315,7 @@ def train(dataset: list[TrainingExample], hyper: Hyperparams | None = None,
 
 
 def build_training_set(pairs, dictionary, index, context: RequestContext,
-                       schema: FeatureSchema = FeatureSchema(),
-                       min_candidates: int = 3) -> list[TrainingExample]:
+                       schema: FeatureSchema = FeatureSchema()) -> list[TrainingExample]:
     """Turn (corrupted query, original query) pairs into labeled examples.
 
     For every corrupted token the gold correction gets label 1 and every
@@ -344,7 +343,7 @@ def build_training_set(pairs, dictionary, index, context: RequestContext,
             if not dictionary.contains(gold):
                 dropped += 1
                 continue
-            candidates = suggest(index, dictionary, bad, min_candidates)
+            candidates = suggest(index, dictionary, bad)
             if not any(c.term == gold for c in candidates):
                 dropped += 1
                 continue

@@ -8,7 +8,7 @@ correction requests, refresh serialized off to the side.  Endpoints:
 
 Artifact directory layout (all TSV formats documented in the README):
 dictionary.tsv (required), stats.tsv, model.json (required), mwe.tsv,
-boost.tsv, manifest.json.
+boost.tsv, and manifest.json, which holds the index parameters.
 """
 
 from __future__ import annotations
@@ -17,20 +17,21 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .dictionary import (DEFAULT_MAX_EDIT_DISTANCE, DEFAULT_PREFIX_LENGTH,
-                         build_delete_index, load_dictionary)
-from .errors import ConfigError, LoadError, ModelError, SpellerError
+from .dictionary import load_dictionary_dir
+from .errors import ConfigError, LoadError, SpellerError
 from .features import RequestContext
 from .mwe import load_mwe_map
-from .pipeline import (DEFAULT_TAU, ArtifactSet, ArtifactStore, BoostConfig,
-                       correct_query, load_boost_config, refresh_behavioral_stats)
+from .pipeline import (DEFAULT_MIN_NEW_TERM_COUNT, DEFAULT_TAU, ArtifactSet,
+                       ArtifactStore, BoostConfig, correct_query, load_boost_config,
+                       refresh_behavioral_stats)
 from .ranker import load_model
 
 MAX_QUERY_LENGTH = 512
+MAX_BODY_BYTES = 64 * 1024
 
 ENV_LISTEN = "SPELLER_LISTEN"
 ENV_ARTIFACTS = "SPELLER_ARTIFACTS"
@@ -43,11 +44,9 @@ class ServiceConfig:
     locale: str = "en"
     application: str = "stock"
     tau: float | None = None
-    prefix_length: int = DEFAULT_PREFIX_LENGTH
-    max_edit_distance: int = DEFAULT_MAX_EDIT_DISTANCE
     refresh_log: Path | None = None
     refresh_interval: float | None = None
-    min_new_term_count: int = 100
+    min_new_term_count: int = DEFAULT_MIN_NEW_TERM_COUNT
 
     @property
     def host_port(self) -> tuple[str, int]:
@@ -57,9 +56,15 @@ class ServiceConfig:
         return host, int(port)
 
 
+CONFIG_KEYS = frozenset({"artifacts", "listen", "locale", "application", "tau",
+                         "refresh_log", "refresh_interval", "min_new_term_count"})
+
+
 def load_config(path=None, artifact_dir=None, listen=None) -> ServiceConfig:
     """Key=value config file, overridable by SPELLER_LISTEN / SPELLER_ARTIFACTS
-    environment variables and explicit arguments (strongest)."""
+    environment variables and explicit arguments (strongest).  Keys outside
+    CONFIG_KEYS are rejected; the index parameters live in the artifact's
+    manifest, not here."""
     values: dict[str, str] = {}
     if path is not None:
         try:
@@ -72,7 +77,10 @@ def load_config(path=None, artifact_dir=None, listen=None) -> ServiceConfig:
             if "=" not in line:
                 raise LoadError("expected key=value", path, line_no)
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            values[key] = value.strip()
 
     env_listen = os.environ.get(ENV_LISTEN)
     env_artifacts = os.environ.get(ENV_ARTIFACTS)
@@ -88,10 +96,6 @@ def load_config(path=None, artifact_dir=None, listen=None) -> ServiceConfig:
     config.application = values.get("application", config.application)
     if "tau" in values:
         config.tau = float(values["tau"])
-    if "prefix_length" in values:
-        config.prefix_length = int(values["prefix_length"])
-    if "max_edit_distance" in values:
-        config.max_edit_distance = int(values["max_edit_distance"])
     if "refresh_log" in values:
         config.refresh_log = (config.artifact_dir / values["refresh_log"]).resolve() \
             if not Path(values["refresh_log"]).is_absolute() else Path(values["refresh_log"])
@@ -109,15 +113,7 @@ def _sha256(path: Path) -> str:
 def load_artifacts(config: ServiceConfig, require_model: bool = True) -> ArtifactSet:
     """Load the artifact set from the configured directory."""
     directory = config.artifact_dir
-    lexicon = directory / "dictionary.tsv"
-    if not lexicon.exists():
-        raise ConfigError(f"missing dictionary artifact: {lexicon}")
-    stats = directory / "stats.tsv"
-    dictionary = load_dictionary(lexicon,
-                                 stats_file=stats if stats.exists() else None,
-                                 locale=config.locale)
-    index = build_delete_index(dictionary, config.max_edit_distance,
-                               config.prefix_length)
+    dictionary, index, build = load_dictionary_dir(directory)
     model_path = directory / "model.json"
     model = None
     if model_path.exists():
@@ -125,23 +121,20 @@ def load_artifacts(config: ServiceConfig, require_model: bool = True) -> Artifac
     elif require_model:
         raise ConfigError(f"missing model artifact: {model_path}")
     mwe_path = directory / "mwe.tsv"
-    mwe_map = load_mwe_map(mwe_path, config.application) if mwe_path.exists() else None
+    mwe_map = load_mwe_map(mwe_path) if mwe_path.exists() else None
     boost_path = directory / "boost.tsv"
     tau = config.tau if config.tau is not None else DEFAULT_TAU
     boost = (load_boost_config(boost_path, tau) if boost_path.exists()
              else BoostConfig(tau=tau))
+    stats = directory / "stats.tsv"
     manifest = {
-        "dictionary_sha": _sha256(lexicon),
+        "dictionary_sha": _sha256(directory / "dictionary.tsv"),
         "stats_sha": _sha256(stats) if stats.exists() else None,
         "model_sha": _sha256(model_path) if model_path.exists() else None,
         "terms": len(dictionary),
     }
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest["build"] = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError:
-            pass
+    if build:
+        manifest["build"] = build
     return ArtifactSet(dictionary, index, model, mwe_map, boost, manifest)
 
 
@@ -222,10 +215,10 @@ class SpellerService:
             old = self.store.snapshot()
             new_dict, new_index = refresh_behavioral_stats(
                 self.config.refresh_log, old.dictionary,
-                min_new_term_count=self.config.min_new_term_count,
-                index=old.index)
+                old.index, min_new_term_count=self.config.min_new_term_count)
             self.store.swap(ArtifactSet(new_dict, new_index, old.model,
-                                        old.mwe_map, old.boost, old.manifest))
+                                        old.mwe_map, old.boost,
+                                        dict(old.manifest, terms=len(new_dict))))
         return True
 
 
@@ -251,8 +244,19 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/v1/correct":
             self._send(404, {"error": "not found"})
             return
+        # Checked before reading: rfile.read(-1) would wait for the client
+        # to close the connection.
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._send(413, {"error": f"body larger than {MAX_BODY_BYTES} bytes"})
+            return
+        try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._send(400, {"error": "body is not valid JSON"})

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from queryspell import DeleteIndex
 from queryspell.cli import cli_main
+from queryspell.dictionary import build_delete_index, write_dictionary_dir
+from queryspell.service import ServiceConfig, SpellerService
 
 
 @pytest.fixture()
@@ -156,6 +163,95 @@ class TestTrainCorrectEval:
         assert "blockchain\t500" in dictionary
 
 
+class TestIndexParametersFromManifest:
+    """build-index is the only place the index parameters are set; every
+    later command reads them from the artifact's manifest."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """(prefix_length, max_edit_distance) of every DeleteIndex built."""
+        params = []
+        real_init = DeleteIndex.__init__
+
+        def spy(self, terms, variants, max_edit_distance, prefix_length):
+            params.append((prefix_length, max_edit_distance))
+            real_init(self, terms, variants, max_edit_distance, prefix_length)
+
+        monkeypatch.setattr(DeleteIndex, "__init__", spy)
+        return params
+
+    def test_every_command_uses_build_index_parameters(self, tmp_path, sources,
+                                                       built, capsys):
+        lex, vocab, stats = sources
+        arts = tmp_path / "arts"
+        assert cli_main(["build-index", "--lexicon", str(lex), "--vocab", str(vocab),
+                         "--stats", str(stats), "--prefix-length", "5",
+                         "--max-edit-distance", "1", "--out-dir", str(arts)]) == 0
+        queries = tmp_path / "queries.txt"
+        queries.write_text("cat cart\nmedal icon\ncreative cloud\n" * 20,
+                           encoding="utf-8")
+        data = tmp_path / "train.tsv"
+        assert cli_main(["gen-data", "--in", str(queries), "--out", str(data),
+                         "--seed", "3"]) == 0
+        eval_tsv = tmp_path / "eval.tsv"
+        eval_tsv.write_text("muzeem\tmuseum\n", encoding="utf-8")
+        log = tmp_path / "log.tsv"
+        log.write_text("blockchain\t500\n", encoding="utf-8")
+        commands = {
+            "train": ["train", "--data", str(data), "--dict", str(arts),
+                      "--out", str(arts / "model.json"), "--epochs", "2"],
+            "correct": ["correct", "--artifacts", str(arts), "muzeem"],
+            "eval": ["eval", "--data", str(eval_tsv), "--artifacts", str(arts)],
+            "refresh": ["refresh", "--artifacts", str(arts), "--log", str(log)],
+        }
+        for name, argv in commands.items():
+            built.clear()
+            assert cli_main(argv) == 0, name
+            assert built and set(built) == {(5, 1)}, name
+        # "muzeem" is two edits from "museum": beyond the recorded distance 1
+        assert "muzeem\tmuzeem\t" in capsys.readouterr().out
+        assert json.loads((arts / "manifest.json").read_text())["prefix_length"] == 5
+
+        built.clear()
+        service = SpellerService(ServiceConfig(artifact_dir=arts))
+        index = service.handle_health()[1]["artifacts"]["index"]
+        assert (index["prefix_length"], index["max_edit_distance"]) == (5, 1)
+        assert set(built) == {(5, 1)}
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--dict", "a", "--out", "m", "--prefix-length", "5"],
+        ["train", "--data", "d", "--dict", "a", "--out", "m", "--max-edit-distance", "1"],
+        ["refresh", "--artifacts", "a", "--log", "l", "--prefix-length", "5"],
+        ["refresh", "--artifacts", "a", "--log", "l", "--max-edit-distance", "1"],
+        ["refresh", "--artifacts", "a", "--log", "l", "--locale", "en"],
+    ])
+    def test_index_flags_exist_only_on_build_index(self, argv, capsys):
+        assert cli_main(argv) == 2
+
+
+class TestRefreshManifest:
+    def test_refresh_rewrites_manifest(self, artifact_dir, toy_dictionary):
+        write_dictionary_dir(artifact_dir, toy_dictionary,
+                             build_delete_index(toy_dictionary))
+        log = artifact_dir / "log.tsv"
+        log.write_text("blockchain\t500\n", encoding="utf-8")
+        assert cli_main(["refresh", "--artifacts", str(artifact_dir),
+                         "--log", str(log)]) == 0
+        lines = (artifact_dir / "dictionary.tsv").read_text().splitlines()
+        manifest = json.loads((artifact_dir / "manifest.json").read_text())
+        assert len(lines) == manifest["terms"] == 41
+        assert not [p.name for p in artifact_dir.iterdir() if p.name.endswith(".tmp")]
+
+    def test_refresh_without_manifest_writes_one(self, artifact_dir):
+        log = artifact_dir / "log.tsv"
+        log.write_text("museum\t1\n", encoding="utf-8")
+        assert cli_main(["refresh", "--artifacts", str(artifact_dir),
+                         "--log", str(log)]) == 0
+        manifest = json.loads((artifact_dir / "manifest.json").read_text())
+        assert manifest["terms"] == 40
+        assert (manifest["prefix_length"], manifest["max_edit_distance"]) == (7, 2)
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli_main(["bogus"]) == 2
@@ -169,3 +265,15 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["gen-data", "--nonsense"]) == 2
+
+
+def test_module_entry_point_prints_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "queryspell.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    for command in ("build-index", "gen-data", "train", "correct", "eval",
+                    "serve", "refresh"):
+        assert command in proc.stdout

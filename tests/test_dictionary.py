@@ -1,10 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryspell import (ConfigError, DictionaryEntry, FrequencyDictionary,
                         LoadError, build_delete_index, generate_deletes,
-                        load_dictionary)
+                        load_dictionary, write_dictionary)
+from queryspell.dictionary import load_dictionary_dir, write_dictionary_dir
 
 from oracles import deletes_by_combinations, ref_damerau_levenshtein
 
@@ -65,6 +69,70 @@ class TestLoading:
         lex = _write(tmp_path / "lex.tsv", "# nothing here\n")
         with pytest.raises(ConfigError):
             load_dictionary(lex)
+
+
+class TestArtifactDirectory:
+    """dictionary.tsv + stats.tsv + manifest.json, read back with the index
+    parameters the manifest records."""
+
+    def test_round_trip_keeps_index_parameters(self, tmp_path, toy_dictionary):
+        index = build_delete_index(toy_dictionary, 1, 5)
+        write_dictionary_dir(tmp_path, toy_dictionary, index)
+        dictionary, loaded, manifest = load_dictionary_dir(tmp_path)
+        assert (loaded.prefix_length, loaded.max_edit_distance) == (5, 1)
+        assert loaded.variants == index.variants
+        assert manifest["terms"] == len(dictionary) == len(toy_dictionary)
+
+    def test_manifest_as_written_by_earlier_builds(self, tmp_path, toy_dictionary):
+        write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
+                         tmp_path / "stats.tsv")
+        _write(tmp_path / "manifest.json", json.dumps({
+            "locale": "de", "max_counts": toy_dictionary.max_counts,
+            "max_edit_distance": 1, "prefix_length": 5, "terms": 40,
+            "variants": 1}, indent=1, sort_keys=True))
+        dictionary, index, _ = load_dictionary_dir(tmp_path)
+        assert dictionary.locale == "de"
+        assert (index.prefix_length, index.max_edit_distance) == (5, 1)
+
+    def test_no_manifest_uses_library_defaults(self, tmp_path, toy_dictionary):
+        write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
+                         tmp_path / "stats.tsv")
+        dictionary, index, manifest = load_dictionary_dir(tmp_path)
+        assert manifest == {}
+        assert dictionary.locale == "en"
+        assert (index.prefix_length, index.max_edit_distance) == (7, 2)
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        '{"locale": "en", "prefix_length": 0, "max_edit_distance": 2}',
+        '{"locale": "en", "prefix_length": 7, "max_edit_distance": 3}',
+        '{"locale": "en", "prefix_length": "7", "max_edit_distance": 2}',
+        '{"locale": "", "prefix_length": 7, "max_edit_distance": 2}',
+        '{"locale": "en", "max_edit_distance": 2}',
+    ])
+    def test_bad_manifest_is_load_error(self, tmp_path, toy_dictionary, text):
+        write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
+                         tmp_path / "stats.tsv")
+        _write(tmp_path / "manifest.json", text)
+        with pytest.raises(LoadError) as err:
+            load_dictionary_dir(tmp_path)
+        assert "manifest.json" in str(err.value)
+
+    def test_every_file_is_replaced_atomically(self, tmp_path, toy_dictionary,
+                                               monkeypatch):
+        import queryspell.dictionary as module
+        replaced = []
+        real_replace = module.os.replace
+
+        def spy(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(module.os, "replace", spy)
+        write_dictionary_dir(tmp_path, toy_dictionary, build_delete_index(toy_dictionary))
+        assert sorted(replaced) == ["dictionary.tsv", "manifest.json", "stats.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(replaced)
 
 
 class TestEntryInvariants:

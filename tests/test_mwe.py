@@ -72,6 +72,15 @@ def test_load_rejects_conflicting_duplicate(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_rejects_identity_rule_with_line(tmp_path):
+    path = tmp_path / "mwe.tsv"
+    path.write_text("a b\tc\nPhoto Shop\tphoto  shop\n", encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_mwe_map(path)
+    assert err.value.line == 2
+    assert "mwe.tsv" in str(err.value)
+
+
 def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "mwe.tsv"
     path.write_text("no tab here\n", encoding="utf-8")

@@ -190,6 +190,15 @@ class TestRefresh:
             refresh_behavioral_stats(path, toy_dictionary, index=toy_index)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("bad_row", ["museum\tmany\n", "museum\t-3\n"])
+    def test_bad_log_count_reports_line(self, tmp_path, toy_dictionary, toy_index,
+                                        bad_row):
+        path = tmp_path / "queries.tsv"
+        path.write_text("# log\nmuseum\t3\n" + bad_row, encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            refresh_behavioral_stats(path, toy_dictionary, toy_index)
+        assert err.value.line == 3
+
     def test_refreshed_dictionary_is_frozen(self, tmp_path, toy_dictionary, toy_index):
         log = self._write_log(tmp_path, [("museum", 1)])
         new_dict, _ = refresh_behavioral_stats(log, toy_dictionary, index=toy_index)

@@ -1,11 +1,12 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from queryspell import ArtifactSet, ConfigError
+from queryspell import ArtifactSet, ConfigError, LoadError
 from queryspell.service import (ENV_ARTIFACTS, ENV_LISTEN, SpellerServer,
                                 SpellerService, ServiceConfig, load_artifacts,
                                 load_config)
@@ -125,6 +126,17 @@ class TestRefresh:
         assert service.store.timestamp > t0
         assert before.dictionary is not after.dictionary
 
+    def test_refresh_updates_reported_term_count(self, artifact_dir):
+        log = artifact_dir / "queries.tsv"
+        log.write_text("blockchain\t1000\n", encoding="utf-8")
+        service = SpellerService(ServiceConfig(artifact_dir=artifact_dir,
+                                               refresh_log=log))
+        assert service.handle_health()[1]["artifacts"]["versions"]["terms"] == 40
+        service.refresh()
+        artifacts = service.handle_health()[1]["artifacts"]
+        assert artifacts["dictionary"]["terms"] == 41
+        assert artifacts["versions"]["terms"] == 41
+
     def test_refresh_without_log_is_config_error(self, service):
         with pytest.raises(ConfigError):
             service.refresh()
@@ -174,6 +186,25 @@ class TestHttp:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
 
+    @staticmethod
+    def _raw_post(base, content_length):
+        """Status of a POST sent with the given Content-Length header and a
+        short body; raises socket.timeout when the server does not answer."""
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(b"POST /v1/correct HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: " + content_length + b"\r\n\r\n"
+                         b'{"query": "museum"}')
+            head = sock.recv(64)
+        return int(head.split()[1])
+
+    @pytest.mark.parametrize("content_length, status", [
+        (b"-1", 400), (b"abc", 400), (b"1000000000", 413)])
+    def test_bad_content_length_answered_without_reading(self, server,
+                                                         content_length, status):
+        assert self._raw_post(server, content_length) == status
+
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server + "/nope", timeout=10)
@@ -222,6 +253,18 @@ class TestConfig:
         cfg.write_text("just words\n", encoding="utf-8")
         with pytest.raises(Exception):
             load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["prefix_length", "max_edit_distance", "nonsense"])
+    def test_unknown_key_rejected(self, tmp_path, artifact_dir, key):
+        cfg = tmp_path / "speller.conf"
+        cfg.write_text(f"artifacts={artifact_dir}\n{key} = 5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
+
+    def test_corrupt_manifest_is_load_error(self, artifact_dir):
+        (artifact_dir / "manifest.json").write_text("{truncated", encoding="utf-8")
+        with pytest.raises(LoadError):
+            load_artifacts(ServiceConfig(artifact_dir=artifact_dir))
 
     def test_missing_dictionary_artifact(self, tmp_path):
         config = ServiceConfig(artifact_dir=tmp_path)
