@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .dictionary import iter_tsv, normalize_term
+from .dictionary import iter_tsv, normalize_term, write_atomic
 from .errors import LoadError
 
 
@@ -295,11 +295,13 @@ def load_misspelling_corpus(path) -> list[tuple[str, str]]:
 
 
 def write_dataset(path, errored: list[ErroredQuery]) -> None:
-    """Generated-dataset TSV: corrupted, original, comma-joined error types."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for eq in errored:
-            kinds = ",".join(t.value for _, t in eq.applied)
-            fh.write(f"{eq.corrupted}\t{eq.original}\t{kinds}\n")
+    """Generated-dataset TSV: corrupted, original, comma-joined error types.
+    The file is replaced atomically."""
+    lines = []
+    for eq in errored:
+        kinds = ",".join(t.value for _, t in eq.applied)
+        lines.append(f"{eq.corrupted}\t{eq.original}\t{kinds}\n")
+    write_atomic(path, "".join(lines))
 
 
 def load_dataset(path) -> list[tuple[str, str, list[str]]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,12 +49,26 @@ class DictionaryEntry:
             raise ValueError(f"dictionary term contains whitespace: {self.term!r}")
         if self.term != normalize_term(self.term):
             raise ValueError(f"dictionary term is not NFC-lowercase: {self.term!r}")
-        for name in _COUNT_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_counts(self.word_count, self.asset_frequency, self.download_count)
 
     def snapshot(self) -> "DictionaryEntry":
-        return replace(self)
+        """A detached copy, taken for every candidate ``suggest`` returns and
+        every entry of a refreshed dictionary.  It skips ``__post_init__``,
+        whose checks this entry already passed, and sets the fields one by
+        one, which keeps the compact instance layout (``copy.copy`` would
+        take twice the memory)."""
+        dup = object.__new__(DictionaryEntry)
+        dup.term = self.term
+        dup.word_count = self.word_count
+        dup.asset_frequency = self.asset_frequency
+        dup.download_count = self.download_count
+        return dup
+
+
+def _check_counts(word_count: int, asset_frequency: int, download_count: int) -> None:
+    if word_count < 0 or asset_frequency < 0 or download_count < 0:
+        raise ValueError("word_count, asset_frequency and download_count must be >= 0, "
+                         f"got {word_count}, {asset_frequency}, {download_count}")
 
 
 class FrequencyDictionary:
@@ -104,6 +118,7 @@ class FrequencyDictionary:
             entry = DictionaryEntry(term, word_count, asset_frequency, download_count)
             self._entries[term] = entry
         else:
+            _check_counts(word_count, asset_frequency, download_count)
             entry.word_count += word_count
             entry.asset_frequency += asset_frequency
             entry.download_count += download_count
@@ -304,13 +319,19 @@ def load_dictionary(lexicon_file, custom_vocab_files: Iterable = (),
     return dictionary.freeze()
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path, text: str) -> None:
     """Write through a temp file in the same directory and ``os.replace``,
-    so a reader sees the old file or the new one, never a partial one."""
+    so a reader sees the old file or the new one, never a partial one.  On
+    failure the temp file is removed and the old file is left as it was."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dictionary(dictionary: FrequencyDictionary, lexicon_path, stats_path) -> None:
@@ -321,11 +342,11 @@ def write_dictionary(dictionary: FrequencyDictionary, lexicon_path, stats_path) 
     atomically.
     """
     entries = [dictionary.get(term) for term in sorted(dictionary.terms())]
-    _write_atomic(Path(lexicon_path),
-                  "".join(f"{e.term}\t{e.word_count}\n" for e in entries))
-    _write_atomic(Path(stats_path),
-                  "".join(f"{e.term}\t{e.asset_frequency}\t{e.download_count}\n"
-                          for e in entries if e.asset_frequency or e.download_count))
+    write_atomic(lexicon_path,
+                 "".join(f"{e.term}\t{e.word_count}\n" for e in entries))
+    write_atomic(stats_path,
+                 "".join(f"{e.term}\t{e.asset_frequency}\t{e.download_count}\n"
+                         for e in entries if e.asset_frequency or e.download_count))
 
 
 def _read_manifest(directory) -> dict:
@@ -386,4 +407,4 @@ def write_dictionary_dir(directory, dictionary: FrequencyDictionary,
         "max_edit_distance": index.max_edit_distance,
         "max_counts": dictionary.max_counts,
     }
-    _write_atomic(base / MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True))
+    write_atomic(base / MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import FrequencyDictionary
+from .dictionary import FrequencyDictionary, write_atomic
 from .errors import ModelError, TrainingError
 from .features import FeatureSchema, FeatureVector, RequestContext, extract_features
 from .suggest import Candidate
@@ -377,7 +377,8 @@ def rank(model: MlpModel, candidates: list[Candidate], context: RequestContext,
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the versioned, self-describing JSON model document."""
+    """Write the versioned, self-describing JSON model document; the file is
+    replaced atomically."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -401,7 +402,7 @@ def save_model(model: MlpModel, path) -> None:
                 "running_var": model.running_vars[i].tolist(),
             })
         doc["layers"].append(layer)
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=1))
 
 
 def load_model(path) -> MlpModel:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -32,6 +33,9 @@ from .ranker import load_model
 
 MAX_QUERY_LENGTH = 512
 MAX_BODY_BYTES = 64 * 1024
+# Seconds a connection may stay silent before the server closes it, so a
+# slow or stalled client cannot hold a handler thread forever.
+SOCKET_TIMEOUT_S = 10.0
 
 ENV_LISTEN = "SPELLER_LISTEN"
 ENV_ARTIFACTS = "SPELLER_ARTIFACTS"
@@ -145,6 +149,8 @@ class SpellerService:
         self.config = config
         self.store = ArtifactStore(artifacts or load_artifacts(config))
         self._refresh_lock = threading.Lock()
+        # Outcome of the last refresh, for /v1/health; None before the first.
+        self.last_refresh: dict | None = None
 
     def handle_correct(self, payload) -> tuple[int, dict]:
         if not isinstance(payload, dict):
@@ -204,26 +210,48 @@ class SpellerService:
                 "mwe_entries": len(artifacts.mwe_map) if artifacts.mwe_map else 0,
                 "versions": artifacts.manifest,
             },
+            "last_refresh": self.last_refresh,
         }
 
     def refresh(self) -> bool:
         """Rebuild dictionary + index from the configured query log and swap.
-        At most one refresh runs at a time."""
-        if self.config.refresh_log is None:
+        At most one refresh runs at a time.  Its outcome is kept in
+        ``last_refresh``; a refresh that fails keeps the old snapshot and
+        re-raises.  The refreshed dictionary matches no file on disk, so its
+        versions name the query log instead of the dictionary files."""
+        log = self.config.refresh_log
+        if log is None:
             raise ConfigError("no refresh_log configured")
         with self._refresh_lock:
-            old = self.store.snapshot()
-            new_dict, new_index = refresh_behavioral_stats(
-                self.config.refresh_log, old.dictionary,
-                old.index, min_new_term_count=self.config.min_new_term_count)
+            start = time.perf_counter()
+            try:
+                old = self.store.snapshot()
+                new_dict, new_index = refresh_behavioral_stats(
+                    log, old.dictionary, old.index,
+                    min_new_term_count=self.config.min_new_term_count)
+                log_sha = _sha256(log)
+            except Exception as exc:
+                self.last_refresh = _refresh_outcome(start, exc)
+                raise
+            manifest = dict(old.manifest, terms=len(new_dict), dictionary_sha=None,
+                            stats_sha=None, refresh_log_sha=log_sha)
             self.store.swap(ArtifactSet(new_dict, new_index, old.model,
-                                        old.mwe_map, old.boost,
-                                        dict(old.manifest, terms=len(new_dict))))
+                                        old.mwe_map, old.boost, manifest))
+            self.last_refresh = _refresh_outcome(start)
         return True
+
+
+def _refresh_outcome(start: float, error: Exception | None = None) -> dict:
+    """What /v1/health reports about a refresh that began at ``start``
+    (a ``perf_counter`` reading) and ends now."""
+    return {"time": time.time(), "result": "ok" if error is None else "failed",
+            "error": None if error is None else str(error) or repr(error),
+            "duration_s": round(time.perf_counter() - start, 6)}
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "queryspell"
+    timeout = SOCKET_TIMEOUT_S
 
     def _send(self, status: int, doc: dict) -> None:
         body = json.dumps(doc).encode("utf-8")
@@ -282,13 +310,12 @@ def run_server(config: ServiceConfig) -> None:
     server = SpellerServer(service)
     if config.refresh_interval and config.refresh_log:
         def _periodic():
-            import time as _time
             while True:
-                _time.sleep(config.refresh_interval)
+                time.sleep(config.refresh_interval)
                 try:
                     service.refresh()
                 except SpellerError:
-                    pass  # keep serving the previous snapshot
+                    pass  # recorded in last_refresh; the old snapshot stays
         threading.Thread(target=_periodic, daemon=True).start()
     host, port = config.host_port
     print(f"speller listening on {host}:{port} "

@@ -1,7 +1,8 @@
 """Candidate generation: verified corrections for a misspelled token.
 
 Lookup retrieves terms whose delete variants intersect the token's delete
-variants, verifies each with full-string Damerau-Levenshtein distance, and
+variants, verifies each with full-string Damerau-Levenshtein distance bounded
+at 2 (a longer distance is never needed, so its DP is cut short), and
 applies the escalation policy: distance-1 candidates first, distance-2 only
 when fewer than ``min_candidates`` exist at distance 1.
 """
@@ -15,14 +16,24 @@ from .dictionary import DeleteIndex, DictionaryEntry, FrequencyDictionary, norma
 DEFAULT_MIN_CANDIDATES = 3
 
 
-def damerau_levenshtein(a: str, b: str) -> int:
+def damerau_levenshtein(a: str, b: str, max_distance: int | None = None) -> int:
     """Minimal number of insertions, deletions, substitutions and adjacent
     transpositions transforming a into b (unrestricted edit sequences, so
     e.g. an insertion inside a transposed pair is allowed).
 
+    With ``max_distance`` k the result is exact when it is at most k and
+    k + 1 otherwise, and the scan touches only the few cells near the
+    diagonal that can still lead to a distance of at most k.
+
     >>> damerau_levenshtein("change", "chnage")
     1
     >>> damerau_levenshtein("ca", "abc")
+    2
+    >>> damerau_levenshtein("kitten", "sitting", max_distance=2)
+    3
+    >>> damerau_levenshtein("kitten", "sitting", max_distance=3)
+    3
+    >>> damerau_levenshtein("ca", "abc", max_distance=1)
     2
     """
     if a == b:
@@ -38,42 +49,80 @@ def damerau_levenshtein(a: str, b: str) -> int:
     a = a[lo:hi_a]
     b = b[lo:hi_b]
     la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
+    # Unbounded, k = max(la, lb) is a bound the distance never exceeds.
+    k = max(la, lb) if max_distance is None else max_distance
+    gap = lb - la
+    if abs(gap) > k:
+        return k + 1
+    if la == 0 or lb == 0:
+        return la + lb
 
-    # Lowrance-Wagner matrix with per-character last-match bookkeeping.
-    inf = la + lb
-    width = lb + 2
-    score = [[inf] * width for _ in range(la + 2)]
-    for i in range(la + 1):
-        score[i + 1][1] = i
-    for j in range(lb + 1):
-        score[1][j + 1] = j
+    # Lowrance-Wagner matrix D with per-character last-match bookkeeping,
+    # cut off at k (Ukkonen 1985).  Every edit step costs at least the
+    # distance it moves between diagonals, so a cell D(i, j) on diagonal
+    # j - i lies on a path of cost at least D(i, j) + |j - i - gap|, and at
+    # least |j - i| + |j - i - gap| since D(i, j) >= |j - i|.  Only the
+    # diagonals where that sum is <= k are computed; ``cap`` = k + 1 fills
+    # every other cell.  Each computed cell is exact wherever its path bound
+    # is <= k, and above k otherwise.  Rows are allocated as the scan
+    # reaches them.
+    cap = k + 1
+    d_lo = -((k - gap) // 2)
+    d_hi = (k + gap) // 2
+    width = lb + 1
+    first = [cap] * width
+    reach = d_hi if d_hi < lb else lb
+    first[:reach + 1] = range(reach + 1)
+    score = [first]
     last_row: dict[str, int] = {}
     for i in range(1, la + 1):
         ch_a = a[i - 1]
-        last_col = 0
-        row = score[i + 1]
-        prev = score[i]
-        for j in range(1, lb + 1):
+        prev = score[i - 1]
+        row = [cap] * width
+        score.append(row)
+        off = i + gap              # column of row i on the final diagonal
+        if i > -d_lo:
+            j_lo = i + d_lo
+            left = bound = cap
+            # Last column left of the band where b matches ch_a.
+            last_col = b.rfind(ch_a, 0, j_lo - 1) + 1
+        else:
+            j_lo = 1
+            row[0] = left = i
+            bound = i + (off if off > 0 else -off)
+            last_col = 0
+        j_hi = i + d_hi if i + d_hi < lb else lb
+        diag = prev[j_lo - 1]
+        for j in range(j_lo, j_hi + 1):
+            up = prev[j]
             ch_b = b[j - 1]
-            k = last_row.get(ch_b, 0)
-            m = last_col
             if ch_a == ch_b:
-                cost = 0
+                d = diag                   # a match is never beaten
                 last_col = j
             else:
-                cost = 1
-            row[j + 1] = min(
-                prev[j] + cost,            # substitute or match
-                row[j] + 1,                # insert
-                prev[j + 1] + 1,           # delete
-                score[k][m] + (i - k - 1) + 1 + (j - m - 1),  # transpose
-            )
+                d = diag if diag < up else up
+                if left < d:
+                    d = left
+                d += 1                     # substitute, delete or insert
+                if last_col:
+                    r = last_row.get(ch_b, 0)
+                    if r:                  # transpose, edits between allowed
+                        t = score[r - 1][last_col - 1] + i - r + j - last_col - 1
+                        if t < d:
+                            d = t
+            row[j] = left = d
+            d += j - off if j > off else off - j
+            if d < bound:
+                bound = d
+            diag = up
+        # The least path bound of a row never decreases from one row to the
+        # next (a transposition out of row r - 1 is matched by D(i - 1, j - 1)
+        # on its own diagonal), so once it exceeds k the distance does too.
+        if bound > k:
+            return cap
         last_row[ch_a] = i
-    return score[la + 1][lb + 1]
+    d = score[la][lb]
+    return d if d < cap else cap
 
 
 @dataclass
@@ -118,7 +167,7 @@ def suggest(index: DeleteIndex, dictionary: FrequencyDictionary, token: str,
     for tid in near_ids:
         if abs(lengths[tid] - token_len) > 2:
             continue
-        dist = damerau_levenshtein(token, terms[tid])
+        dist = damerau_levenshtein(token, terms[tid], 2)
         if dist == 1:
             ones.append(tid)
         elif dist == 2:
@@ -135,7 +184,7 @@ def suggest(index: DeleteIndex, dictionary: FrequencyDictionary, token: str,
                 continue
             if abs(lengths[tid] - token_len) > 2:
                 continue
-            if damerau_levenshtein(token, terms[tid]) == 2:
+            if damerau_levenshtein(token, terms[tid], 2) == 2:
                 twos.append(tid)
 
     picks = [(1, tid) for tid in ones] + [(2, tid) for tid in twos]

@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 
@@ -148,6 +149,21 @@ class TestCorpusIO:
         assert [(r[0], r[1]) for r in rows] == \
             [(e.corrupted, e.original) for e in errored]
         assert rows[0][2] == [t.value for _, t in errored[0].applied]
+
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        out = tmp_path / "train.tsv"
+        write_dataset(out, [inject_errors("medal icon", rng, 0.7)])
+        old = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_dataset(out, [inject_errors("museum", rng, 0.7)])
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["train.tsv"]
 
 
 def test_keyboard_adjacency_includes_digits_and_punctuation():

@@ -148,6 +148,24 @@ class TestEntryInvariants:
         with pytest.raises(ValueError):
             DictionaryEntry("ok", word_count=-1)
 
+    @pytest.mark.parametrize("field", ["word_count", "asset_frequency",
+                                       "download_count"])
+    def test_add_rejects_negative_counts_for_new_and_existing_terms(self, field):
+        d = FrequencyDictionary()
+        with pytest.raises(ValueError):
+            d.add("fresh", **{field: -1})
+        d.add("term", word_count=5, asset_frequency=5, download_count=5)
+        with pytest.raises(ValueError):
+            d.add("term", **{field: -1})
+        assert d.get("term") == DictionaryEntry("term", 5, 5, 5)
+
+    def test_snapshot_is_an_equal_detached_copy(self):
+        entry = DictionaryEntry("term", 1, 2, 3)
+        dup = entry.snapshot()
+        assert dup == entry and dup is not entry
+        dup.word_count += 1
+        assert entry.word_count == 1
+
     def test_frozen_dictionary_rejects_mutation(self):
         d = FrequencyDictionary()
         d.add("term", word_count=1)

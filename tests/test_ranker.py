@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import numpy as np
@@ -218,6 +219,20 @@ class TestModelIO:
         rng = np.random.default_rng(0)
         X = rng.random((100, schema.dimension))
         assert (forward_batch(model, X) == forward_batch(loaded, X)).all()
+
+    def test_failed_save_leaves_old_file(self, schema, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(_random_model(schema, 0), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_model(_random_model(schema, 1), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_wrong_dimension_header_rejected(self, schema, tmp_path):
         model = _random_model(schema, 0)

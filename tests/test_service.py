@@ -1,12 +1,15 @@
+import hashlib
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from queryspell import ArtifactSet, ConfigError, LoadError
+from queryspell import service as service_module
 from queryspell.service import (ENV_ARTIFACTS, ENV_LISTEN, SpellerServer,
                                 SpellerService, ServiceConfig, load_artifacts,
                                 load_config)
@@ -141,6 +144,48 @@ class TestRefresh:
         with pytest.raises(ConfigError):
             service.refresh()
 
+    def test_refresh_replaces_file_versions_with_log_version(self, artifact_dir):
+        log = artifact_dir / "queries.tsv"
+        log.write_text("blockchain\t1000\n", encoding="utf-8")
+        service = SpellerService(ServiceConfig(artifact_dir=artifact_dir,
+                                               refresh_log=log))
+        before = service.handle_health()[1]
+        assert before["artifacts"]["versions"]["dictionary_sha"]
+        assert before["artifacts"]["versions"]["stats_sha"]
+        assert "refresh_log_sha" not in before["artifacts"]["versions"]
+        assert before["last_refresh"] is None
+        service.refresh()
+        after = service.handle_health()[1]
+        versions = after["artifacts"]["versions"]
+        # The served dictionary no longer matches the files on disk.
+        assert versions["dictionary_sha"] is None
+        assert versions["stats_sha"] is None
+        assert versions["refresh_log_sha"] == hashlib.sha256(
+            log.read_bytes()).hexdigest()[:16]
+        assert versions["model_sha"] == before["artifacts"]["versions"]["model_sha"]
+        assert versions["terms"] == 41
+        outcome = after["last_refresh"]
+        assert outcome["result"] == "ok" and outcome["error"] is None
+        assert outcome["duration_s"] >= 0 and outcome["time"] > 0
+
+    def test_failed_refresh_keeps_snapshot_and_reports_error(self, artifact_dir):
+        log = artifact_dir / "queries.tsv"
+        log.write_text("blockchain\t1000\nnft\tmany\n", encoding="utf-8")
+        service = SpellerService(ServiceConfig(artifact_dir=artifact_dir,
+                                               refresh_log=log))
+        before = service.store.snapshot()
+        with pytest.raises(LoadError):
+            service.refresh()
+        assert service.store.snapshot() is before
+        doc = service.handle_health()[1]
+        assert doc["artifacts"]["dictionary"]["terms"] == 40
+        assert doc["artifacts"]["versions"]["terms"] == 40
+        assert doc["artifacts"]["versions"]["dictionary_sha"]
+        outcome = doc["last_refresh"]
+        assert outcome["result"] == "failed"
+        assert "queries.tsv:2" in outcome["error"] and "many" in outcome["error"]
+        json.dumps(doc)  # still a valid response body
+
 
 class TestHttp:
     @pytest.fixture()
@@ -204,6 +249,24 @@ class TestHttp:
     def test_bad_content_length_answered_without_reading(self, server,
                                                          content_length, status):
         assert self._raw_post(server, content_length) == status
+
+    def test_stalled_client_is_disconnected(self, service, monkeypatch):
+        assert service_module._Handler.timeout == service_module.SOCKET_TIMEOUT_S
+        monkeypatch.setattr(service_module._Handler, "timeout", 0.3)
+        srv = SpellerServer(service)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(srv.server_address, timeout=5) as sock:
+                sock.sendall(b"POST /v1/corr")  # half a request line, then silence
+                started = time.monotonic()
+                assert sock.recv(64) == b""     # the server closed the connection
+                assert time.monotonic() - started < 4
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
