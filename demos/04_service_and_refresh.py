@@ -2,9 +2,10 @@
 
 The service holds an immutable artifact snapshot (dictionary, index, model,
 MWE map, boost config).  Requests read whichever snapshot is current; a
-refresh rebuilds the dictionary and index from recent query-log frequencies
-off to the side and swaps atomically, so new vocabulary enters the speller
-without a restart.
+refresh folds recent query-log frequencies in by making new entries only for
+the terms the log touches and merging only the new terms' delete variants
+into the index, sharing everything else with the current snapshot, and then
+swaps atomically, so new vocabulary enters the speller without a restart.
 """
 
 import json

@@ -52,11 +52,10 @@ class DictionaryEntry:
         _check_counts(self.word_count, self.asset_frequency, self.download_count)
 
     def snapshot(self) -> "DictionaryEntry":
-        """A detached copy, taken for every candidate ``suggest`` returns and
-        every entry of a refreshed dictionary.  It skips ``__post_init__``,
-        whose checks this entry already passed, and sets the fields one by
-        one, which keeps the compact instance layout (``copy.copy`` would
-        take twice the memory)."""
+        """A detached copy, taken for every candidate ``suggest`` returns.
+        It skips ``__post_init__``, whose checks this entry already passed,
+        and sets the fields one by one, which keeps the compact instance
+        layout (``copy.copy`` would take twice the memory)."""
         dup = object.__new__(DictionaryEntry)
         dup.term = self.term
         dup.word_count = self.word_count
@@ -75,8 +74,8 @@ class FrequencyDictionary:
     """Map of term -> DictionaryEntry with cached per-field maxima.
 
     Built single-threaded, then frozen; a frozen instance is safe for
-    concurrent reads.  Updates happen by building a new instance and
-    swapping it in wholesale.
+    concurrent reads.  Updates happen by building a new instance
+    (``with_word_counts``) and swapping it in wholesale.
     """
 
     def __init__(self, locale: str = DEFAULT_LOCALE):
@@ -135,13 +134,27 @@ class FrequencyDictionary:
         """True iff the NFC-lowercased token is a stored term."""
         return normalize_term(token) in self._entries
 
-    def copy(self) -> "FrequencyDictionary":
-        """Unfrozen deep copy (entry objects are duplicated)."""
+    def with_word_counts(self, added: dict[str, int]) -> "FrequencyDictionary":
+        """A frozen dictionary in which each term of ``added`` has its count
+        summed into ``word_count``, a term not yet here entering with that
+        count.  Only those terms get new entries; every other entry is
+        shared with this dictionary, which is left as it was.  Sharing is
+        safe because both dictionaries are frozen and nothing mutates an
+        entry of a frozen dictionary."""
+        if not self._frozen:
+            raise ConfigError("only a frozen dictionary can share its entries")
         dup = FrequencyDictionary(self.locale)
-        for entry in self._entries.values():
-            dup._entries[entry.term] = entry.snapshot()
+        dup._entries = dict(self._entries)
         dup._max = dict(self._max)
-        return dup
+        for term, count in added.items():
+            term = normalize_term(term)
+            old = dup._entries.get(term)
+            entry = (DictionaryEntry(term, count) if old is None else
+                     DictionaryEntry(term, old.word_count + count,
+                                     old.asset_frequency, old.download_count))
+            dup._entries[term] = entry
+            dup._max["word_count"] = max(dup._max["word_count"], entry.word_count)
+        return dup.freeze()
 
 
 def generate_deletes(term: str, max_edit_distance: int) -> set[str]:
@@ -169,14 +182,31 @@ def generate_deletes(term: str, max_edit_distance: int) -> set[str]:
     return out
 
 
+def _index_keys(term: str, max_edit_distance: int, prefix_length: int) -> set[str]:
+    """The keys a term is filed under in a delete index, and a token looked
+    up in it: the string itself, its first ``prefix_length`` characters and
+    every deletion variant of that prefix down to ``max_edit_distance``
+    deletions.
+
+    >>> sorted(_index_keys("cats", 1, 3))
+    ['at', 'ca', 'cat', 'cats', 'ct']
+    """
+    prefix = term[:prefix_length]
+    keys = generate_deletes(prefix, max_edit_distance) if prefix else set()
+    keys.add(term)
+    keys.add(prefix)
+    return keys
+
+
 class DeleteIndex:
     """Immutable symmetric-delete index.
 
-    Keys are the term itself plus every deletion variant (down to
-    ``max_edit_distance`` deletions) of the term's first ``prefix_length``
-    characters; values reference terms by id into ``terms``.  Candidate
-    retrieval generates the same variants of the input token and unions the
-    buckets; distance verification happens downstream on full strings.
+    Each term is filed under its ``_index_keys``; values reference terms by
+    id into ``terms``, each bucket in ascending id order.  Ids follow the
+    lexicographic term order only in a fresh ``build_delete_index``: terms
+    added by ``with_terms`` are appended.  Candidate retrieval looks up the
+    same keys of the input token and unions the buckets; distance
+    verification happens downstream on full strings.
     """
 
     def __init__(self, terms: tuple[str, ...], variants: dict[str, tuple[int, ...]],
@@ -193,13 +223,6 @@ class DeleteIndex:
     def lookup(self, variant: str) -> tuple[int, ...]:
         return self.variants.get(variant, ())
 
-    def _candidate_keys(self, token: str, depth: int) -> set[str]:
-        prefix = token[:self.prefix_length]
-        keys = generate_deletes(prefix, depth) if prefix else set()
-        keys.add(token)
-        keys.add(prefix)
-        return keys
-
     def candidate_ids(self, token: str, depth: int | None = None) -> set[int]:
         """Term ids whose stored variants intersect the token's variants.
 
@@ -210,11 +233,26 @@ class DeleteIndex:
             depth = self.max_edit_distance
         found: set[int] = set()
         get = self.variants.get
-        for key in self._candidate_keys(token, depth):
+        for key in _index_keys(token, depth, self.prefix_length):
             bucket = get(key)
             if bucket:
                 found.update(bucket)
         return found
+
+    def with_terms(self, new_terms: Iterable[str]) -> "DeleteIndex":
+        """A new index that also holds ``new_terms``, none of which may be
+        here already.  They take the ids ``len(self.terms)`` onwards in sorted
+        order, so every bucket stays in ascending id order.  Only the buckets
+        of their keys are replaced; every other bucket is shared, and this
+        index is left as it was."""
+        added = sorted(new_terms)
+        variants = dict(self.variants)
+        get = variants.get
+        for tid, term in enumerate(added, start=len(self.terms)):
+            for key in _index_keys(term, self.max_edit_distance, self.prefix_length):
+                variants[key] = get(key, ()) + (tid,)
+        return DeleteIndex(self.terms + tuple(added), variants,
+                           self.max_edit_distance, self.prefix_length)
 
 
 def build_delete_index(dictionary: FrequencyDictionary,
@@ -223,7 +261,8 @@ def build_delete_index(dictionary: FrequencyDictionary,
     """Precompute the delete-variant map for every dictionary term.
 
     Deterministic: identical inputs produce identical variant maps (terms are
-    id-ordered lexicographically, buckets sorted).
+    id-ordered lexicographically, buckets sorted).  ``DeleteIndex.with_terms``
+    extends such an index without this full rebuild.
     """
     if len(dictionary) == 0:
         raise ConfigError("cannot build a delete index over an empty dictionary")
@@ -232,11 +271,7 @@ def build_delete_index(dictionary: FrequencyDictionary,
     terms = tuple(sorted(dictionary.terms()))
     variants: dict[str, set[int]] = {}
     for tid, term in enumerate(terms):
-        prefix = term[:prefix_length]
-        keys = generate_deletes(prefix, max_edit_distance)
-        keys.add(prefix)
-        keys.add(term)
-        for key in keys:
+        for key in _index_keys(term, max_edit_distance, prefix_length):
             bucket = variants.get(key)
             if bucket is None:
                 variants[key] = {tid}

@@ -3,8 +3,9 @@
 Request flow: MWE rewrite -> tokenize -> per-token dictionary check /
 suggest / rank -> postprocessor boost -> threshold acceptance -> assembly.
 The request path is read-only over an immutable artifact snapshot; refresh
-builds a new dictionary + index off to the side and the caller publishes it
-with an atomic swap.
+derives a new dictionary + index that share every entry and index bucket
+the query log leaves untouched, and the caller publishes them with an
+atomic swap.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import time
 import unicodedata
 from dataclasses import dataclass, field
 
-from .dictionary import (DeleteIndex, FrequencyDictionary, build_delete_index,
-                         iter_tsv, normalize_term, parse_count)
+from .dictionary import (DeleteIndex, FrequencyDictionary, iter_tsv, normalize_term,
+                         parse_count)
 from .errors import ConfigError, LoadError
 from .features import RequestContext
 from .mwe import MweMap, apply_mwe
@@ -185,10 +186,15 @@ def refresh_behavioral_stats(query_log, dictionary: FrequencyDictionary,
 
     Log format: ``query<TAB>count``.  Existing terms accumulate the observed
     occurrences into word_count; unseen terms enter the dictionary only when
-    they clear ``min_new_term_count`` (so stray misspellings stay out).  The
-    new index keeps the parameters of ``index``.  The input artifacts are
-    untouched; the caller swaps in the returned pair.
+    they clear ``min_new_term_count`` (so stray misspellings stay out).
+    ``index`` must be the delete index of ``dictionary``.  The new index is
+    ``index`` with the variants of the admitted terms merged in, so a
+    refresh costs what the log touches, not what the dictionary holds.  The
+    input artifacts are untouched; the caller swaps in the returned pair.
     """
+    if len(index.terms) != len(dictionary):
+        raise ConfigError(f"index holds {len(index.terms)} terms, "
+                          f"dictionary {len(dictionary)}")
     occurrences: dict[str, int] = {}
     for line_no, (query, raw) in iter_tsv(query_log, "query", "count"):
         count = parse_count(raw, query_log, line_no, "count")
@@ -196,11 +202,7 @@ def refresh_behavioral_stats(query_log, dictionary: FrequencyDictionary,
             term = normalize_term(token)
             occurrences[term] = occurrences.get(term, 0) + count
 
-    refreshed = dictionary.copy()
-    for term, count in occurrences.items():
-        if count >= min_new_term_count or refreshed.contains(term):
-            refreshed.add(term, word_count=count)
-    refreshed.freeze()
-    new_index = build_delete_index(refreshed, index.max_edit_distance,
-                                   index.prefix_length)
-    return refreshed, new_index
+    admitted = {term: count for term, count in occurrences.items()
+                if count >= min_new_term_count or dictionary.contains(term)}
+    new_terms = [term for term in admitted if not dictionary.contains(term)]
+    return dictionary.with_word_counts(admitted), index.with_terms(new_terms)

@@ -214,7 +214,7 @@ class SpellerService:
         }
 
     def refresh(self) -> bool:
-        """Rebuild dictionary + index from the configured query log and swap.
+        """Fold the configured query log into dictionary + index and swap.
         At most one refresh runs at a time.  Its outcome is kept in
         ``last_refresh``; a refresh that fails keeps the old snapshot and
         re-raises.  The refreshed dictionary matches no file on disk, so its
@@ -255,11 +255,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, doc: dict) -> None:
         body = json.dumps(doc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (ConnectionResetError, BrokenPipeError):
+            # The client has gone: nobody is left to read the answer, and
+            # the connection can serve no further request.
+            self.close_connection = True
 
     def do_GET(self):
         if self.path == "/v1/health":

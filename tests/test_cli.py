@@ -8,7 +8,8 @@ import pytest
 
 from queryspell import DeleteIndex
 from queryspell.cli import cli_main
-from queryspell.dictionary import build_delete_index, write_dictionary_dir
+from queryspell.dictionary import (build_delete_index, load_dictionary_dir,
+                                   write_dictionary_dir)
 from queryspell.service import ServiceConfig, SpellerService
 
 
@@ -240,6 +241,9 @@ class TestRefreshManifest:
         lines = (artifact_dir / "dictionary.tsv").read_text().splitlines()
         manifest = json.loads((artifact_dir / "manifest.json").read_text())
         assert len(lines) == manifest["terms"] == 41
+        # The merged index has the key count of a full rebuild.
+        _, rebuilt, _ = load_dictionary_dir(artifact_dir)
+        assert manifest["variants"] == len(rebuilt) > len(build_delete_index(toy_dictionary))
         assert not [p.name for p in artifact_dir.iterdir() if p.name.endswith(".tmp")]
 
     def test_refresh_without_manifest_writes_one(self, artifact_dir):

@@ -173,6 +173,17 @@ class TestEntryInvariants:
         with pytest.raises(ConfigError):
             d.add("another")
 
+    def test_only_a_frozen_dictionary_shares_its_entries(self):
+        d = FrequencyDictionary()
+        d.add("term", word_count=1)
+        with pytest.raises(ConfigError):
+            d.with_word_counts({"term": 1})
+        merged = d.freeze().with_word_counts({"Term": 2, "other": 3})
+        assert merged.get("term").word_count == 3 and d.get("term").word_count == 1
+        assert merged.max_counts["word_count"] == 3
+        with pytest.raises(ConfigError):
+            merged.add("another")
+
 
 class TestContains:
     def test_membership(self, toy_dictionary):

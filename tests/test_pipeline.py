@@ -1,10 +1,15 @@
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from queryspell import (ArtifactSet, ArtifactStore, BoostConfig, BoostRule,
-                        ConfigError, LoadError, RequestContext, correct_query,
-                        refresh_behavioral_stats, tokenize)
+                        ConfigError, FrequencyDictionary, LoadError, RequestContext,
+                        build_delete_index, correct_query, refresh_behavioral_stats,
+                        tokenize)
+from queryspell import dictionary as dictionary_module
+from queryspell import pipeline as pipeline_module
 from queryspell.pipeline import load_boost_config
 
 
@@ -204,6 +209,122 @@ class TestRefresh:
         new_dict, _ = refresh_behavioral_stats(log, toy_dictionary, index=toy_index)
         with pytest.raises(ConfigError):
             new_dict.add("nope")
+
+    def test_old_artifacts_unchanged_and_untouched_parts_shared(
+            self, tmp_path, toy_dictionary, toy_index):
+        entries = dict(zip(toy_dictionary.terms(), toy_dictionary.entries()))
+        counts = {t: (e.word_count, e.asset_frequency, e.download_count)
+                  for t, e in entries.items()}
+        max_counts = toy_dictionary.max_counts
+        terms = toy_index.terms
+        buckets = dict(toy_index.variants)
+        log = self._write_log(tmp_path, [("museum", 100000), ("blockchain", 1000)])
+        new_dict, new_index = refresh_behavioral_stats(log, toy_dictionary, toy_index)
+
+        assert new_dict.get("museum").word_count == 109000
+        assert new_dict.max_counts["word_count"] == 109000
+        assert toy_dictionary.max_counts == max_counts
+        assert dict(zip(toy_dictionary.terms(), toy_dictionary.entries())) == entries
+        assert all(toy_dictionary.get(t) is e for t, e in entries.items())
+        assert {t: (e.word_count, e.asset_frequency, e.download_count)
+                for t, e in entries.items()} == counts
+        assert toy_index.terms == terms
+        assert toy_index.variants.keys() == buckets.keys()
+        assert all(toy_index.variants[k] is b for k, b in buckets.items())
+
+        assert new_dict.get("museum") is not toy_dictionary.get("museum")
+        assert all(new_dict.get(t) is e for t, e in entries.items() if t != "museum")
+        blockchain = new_index.terms.index("blockchain")
+        assert blockchain == len(terms)
+        alone = FrequencyDictionary()
+        alone.add("blockchain")
+        blockchain_keys = set(build_delete_index(alone.freeze()).variants)
+        for key, bucket in new_index.variants.items():
+            if key in blockchain_keys:
+                assert bucket == buckets.get(key, ()) + (blockchain,)
+            else:
+                assert bucket is buckets[key]
+
+    def test_refresh_does_not_rebuild_the_index(self, tmp_path, toy_dictionary,
+                                                toy_index, monkeypatch):
+        def full_rebuild(*args, **kwargs):
+            raise AssertionError("refresh rebuilt the whole delete index")
+        monkeypatch.setattr(dictionary_module, "build_delete_index", full_rebuild)
+        monkeypatch.setattr(pipeline_module, "build_delete_index", full_rebuild,
+                            raising=False)
+        log = self._write_log(tmp_path, [("blockchain", 1000), ("museum", 5)])
+        new_dict, new_index = refresh_behavioral_stats(log, toy_dictionary, toy_index)
+        assert "blockchain" in new_index.terms and new_dict.contains("blockchain")
+
+    def test_index_of_another_dictionary_rejected(self, tmp_path, toy_dictionary):
+        log = self._write_log(tmp_path, [("museum", 5)])
+        other = FrequencyDictionary()
+        other.add("museum")
+        with pytest.raises(ConfigError):
+            refresh_behavioral_stats(log, toy_dictionary,
+                                     build_delete_index(other.freeze()))
+
+
+_words = st.text(alphabet="abcde", min_size=1, max_size=9)
+_logs = st.lists(st.tuples(st.lists(_words, min_size=1, max_size=3).map(" ".join),
+                           st.integers(min_value=0, max_value=120)), max_size=12)
+
+
+def _counts(dictionary):
+    return {e.term: (e.word_count, e.asset_frequency, e.download_count)
+            for e in dictionary.entries()}
+
+
+def _term_sets(index):
+    return {key: {index.terms[tid] for tid in bucket}
+            for key, bucket in index.variants.items()}
+
+
+@given(terms=st.dictionaries(_words, st.integers(min_value=0, max_value=300),
+                             min_size=1, max_size=25),
+       logs=st.lists(_logs, min_size=1, max_size=2),
+       max_edit_distance=st.integers(min_value=0, max_value=2),
+       prefix_length=st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_refresh_matches_full_rebuild(tmp_path, terms, logs, max_edit_distance,
+                                      prefix_length):
+    """One refresh or two in a row give the dictionary that summing the logs
+    into a fresh one gives, and an index that files the same terms under
+    every key as a full rebuild of that dictionary."""
+    dictionary = FrequencyDictionary()
+    for term, count in terms.items():
+        dictionary.add(term, word_count=count, asset_frequency=count // 3)
+    dictionary.freeze()
+    index = build_delete_index(dictionary, max_edit_distance, prefix_length)
+    expected = {t: list(c) for t, c in _counts(dictionary).items()}
+    for rows in logs:
+        log = tmp_path / "queries.tsv"
+        log.write_text("".join(f"{q}\t{c}\n" for q, c in rows), encoding="utf-8")
+        occurrences = {}
+        for query, count in rows:
+            for token in query.split():
+                occurrences[token] = occurrences.get(token, 0) + count
+        for term, count in occurrences.items():
+            if term in expected:
+                expected[term][0] += count
+            elif count >= 100:
+                expected[term] = [count, 0, 0]
+
+        new_dict, new_index = refresh_behavioral_stats(log, dictionary, index,
+                                                       min_new_term_count=100)
+        assert _counts(new_dict) == {t: tuple(c) for t, c in expected.items()}
+        assert new_dict.max_counts == {
+            name: max(c[i] for c in expected.values()) for i, name in
+            enumerate(("word_count", "asset_frequency", "download_count"))}
+        rebuilt = build_delete_index(new_dict, max_edit_distance, prefix_length)
+        assert _term_sets(new_index) == _term_sets(rebuilt)
+        assert all(list(b) == sorted(set(b)) for b in new_index.variants.values())
+        assert new_index.terms[:len(index.terms)] == index.terms
+        assert sorted(new_index.terms) == list(rebuilt.terms)
+        assert (new_index.max_edit_distance, new_index.prefix_length) == \
+            (max_edit_distance, prefix_length)
+        dictionary, index = new_dict, new_index
 
 
 class TestArtifactStore:

@@ -7,6 +7,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from queryspell import ArtifactSet, ConfigError, LoadError
 from queryspell import service as service_module
@@ -73,6 +75,28 @@ class TestHandleCorrect:
         snap = service.store.snapshot()
         service.store.swap(ArtifactSet(snap.dictionary, snap.index))
         assert service.handle_correct({"query": "museum"})[0] == 503
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=10)
+_payloads = _json | st.fixed_dictionaries({}, optional={
+    "query": _json | st.text(max_size=60)
+    | st.sampled_from(["museum", "creativecloud", ",edal icon", "musuem prak"]),
+    "locale": _json | st.sampled_from(["en", "fr", "de"]),
+    "application": _json | st.sampled_from(["stock", "express"]),
+})
+
+
+@given(payload=_payloads)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_handle_correct_answers_any_json(service, payload):
+    status, doc = service.handle_correct(payload)
+    assert status in (200, 400, 503)
+    json.dumps(doc, allow_nan=False)
 
 
 class TestHandleHealth:
@@ -185,6 +209,29 @@ class TestRefresh:
         assert outcome["result"] == "failed"
         assert "queries.tsv:2" in outcome["error"] and "many" in outcome["error"]
         json.dumps(doc)  # still a valid response body
+
+
+class _GoneWriter:
+    """A response stream whose client has closed the connection."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, data):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [ConnectionResetError(104, "reset by peer"),
+                                   BrokenPipeError(32, "broken pipe")])
+def test_reply_to_departed_client_is_dropped(error):
+    handler = service_module._Handler.__new__(service_module._Handler)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /v1/health HTTP/1.1"
+    handler.command = "GET"
+    handler.close_connection = False
+    handler.wfile = _GoneWriter(error)
+    handler._send(200, {"status": "ok"})  # must not raise
+    assert handler.close_connection
 
 
 class TestHttp:
