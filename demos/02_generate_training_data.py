@@ -8,7 +8,9 @@ the seed.
 """
 
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from queryspell import ERROR_WEIGHTS, ErrorType, apply_error, inject_errors
 from queryspell.datagen import write_dataset
@@ -45,7 +47,7 @@ for kind, weight in ERROR_WEIGHTS.items():
 # Datasets are written as TSV: corrupted, original, applied error classes.
 queries = ["medal icon", "creative cloud", "atlantic mackerel", "museum"]
 rows = [inject_errors(q, rng, 0.5) for q in queries]
-write_dataset("/tmp/speller_train.tsv", rows)
-print("\nwrote /tmp/speller_train.tsv:")
-with open("/tmp/speller_train.tsv", encoding="utf-8") as fh:
-    print(fh.read().rstrip())
+out = Path(tempfile.gettempdir()) / "speller_train.tsv"
+write_dataset(out, rows)
+print(f"\nwrote {out}:")
+print(out.read_text(encoding="utf-8").rstrip())

@@ -5,6 +5,8 @@ ReLU, dropout, sigmoid output) over seven feature groups per candidate:
 log-scaled word/asset/download counts, normalized edit distance, locale and
 application one-hots, and phonetic similarity.  Gold candidates get label 1,
 every other suggester candidate label 0; ranking emerges from the scores.
+The counts are scaled by the maxima of the training dictionary, which the
+model keeps in its feature schema.
 """
 
 import random
@@ -31,7 +33,7 @@ dictionary.freeze()
 index = build_delete_index(dictionary)
 
 # Corrupt vocabulary words to get (misspelled, correct) training rows, then
-# expand each into labeled candidate vectors.
+# expand each into labeled candidate rows of one feature matrix.
 rng = random.Random(3)
 terms = [t for t, _ in VOCAB]
 rows = []
@@ -43,18 +45,18 @@ for i in range(1200):
         corrupted = inject_errors(corrupted, rng, 0.7).corrupted
     rows.append((corrupted, errored.original))
 
-schema = FeatureSchema()
 context = RequestContext("en", "stock")
-examples = build_training_set(rows, dictionary, index, context, schema)
-positives = sum(e.label for e in examples)
-print(f"{len(examples)} training examples ({positives} gold, "
-      f"{len(examples) - positives} other candidates)")
+X, labels, schema = build_training_set(rows, dictionary, index, context, FeatureSchema())
+positives = int(labels.sum())
+print(f"{len(labels)} training examples ({positives} gold, "
+      f"{len(labels) - positives} other candidates); count maxima "
+      f"{schema.count_maxima}")
 
-model = train(examples, Hyperparams(epochs=12, seed=1), schema)
+model = train(X, labels, schema, Hyperparams(epochs=12, seed=1))
 
 # Score one candidate list by hand to see what the ranker does.
 candidates = suggest(index, dictionary, "muzeem")
-for cand in rank(model, candidates, context, dictionary, "muzeem"):
+for cand in rank(model, candidates, context, "muzeem", BoostConfig()):
     print(f"  muzeem -> {cand.term}: score {cand.score:.3f}")
 
 # The full pipeline: MWE rewrite (none here), per-token check, suggest,

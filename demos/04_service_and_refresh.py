@@ -44,10 +44,9 @@ for i in range(900):
     if i % 3 == 0:
         corrupted = inject_errors(corrupted, rng, 1.0).corrupted
     rows.append((corrupted, errored.original))
-schema = FeatureSchema()
 context = RequestContext("en", "stock")
-model = train(build_training_set(rows, dictionary, index, context, schema),
-              Hyperparams(epochs=8, seed=0), schema)
+model = train(*build_training_set(rows, dictionary, index, context, FeatureSchema()),
+              Hyperparams(epochs=8, seed=0))
 
 write_dictionary(dictionary, workdir / "dictionary.tsv", workdir / "stats.tsv")
 save_model(model, workdir / "model.json")

@@ -58,13 +58,13 @@ def _cmd_train(args) -> int:
     context = RequestContext(args.locale, args.application)
     rows = [(corrupted, original)
             for corrupted, original, _ in datagen.load_dataset(args.data)]
-    examples = build_training_set(rows, dictionary, index, context, schema)
+    X, labels, schema = build_training_set(rows, dictionary, index, context, schema)
     hyper = Hyperparams(epochs=args.epochs, batch_size=args.batch_size,
                         learning_rate=args.learning_rate,
                         dropout_rate=args.dropout, seed=args.seed)
-    model = train(examples, hyper, schema)
+    model = train(X, labels, schema, hyper)
     save_model(model, args.out)
-    print(f"trained on {len(examples)} examples -> {args.out}")
+    print(f"trained on {len(labels)} examples -> {args.out}")
     return 0
 
 

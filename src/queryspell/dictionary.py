@@ -24,8 +24,6 @@ DEFAULT_PREFIX_LENGTH = 7
 DEFAULT_LOCALE = "en"
 MANIFEST_FILE = "manifest.json"
 
-_COUNT_FIELDS = ("word_count", "asset_frequency", "download_count")
-
 
 def normalize_term(text: str) -> str:
     """NFC-normalize and lowercase. Applied to every term and lookup token."""
@@ -71,7 +69,7 @@ def _check_counts(word_count: int, asset_frequency: int, download_count: int) ->
 
 
 class FrequencyDictionary:
-    """Map of term -> DictionaryEntry with cached per-field maxima.
+    """Map of term -> DictionaryEntry.
 
     Built single-threaded, then frozen; a frozen instance is safe for
     concurrent reads.  Updates happen by building a new instance
@@ -81,7 +79,6 @@ class FrequencyDictionary:
     def __init__(self, locale: str = DEFAULT_LOCALE):
         self.locale = locale
         self._entries: dict[str, DictionaryEntry] = {}
-        self._max = {name: 0 for name in _COUNT_FIELDS}
         self._frozen = False
 
     def __len__(self) -> int:
@@ -95,11 +92,6 @@ class FrequencyDictionary:
 
     def entries(self) -> Iterable[DictionaryEntry]:
         return self._entries.values()
-
-    @property
-    def max_counts(self) -> dict[str, int]:
-        """True field-wise maxima over all entries."""
-        return dict(self._max)
 
     def freeze(self) -> "FrequencyDictionary":
         self._frozen = True
@@ -121,10 +113,6 @@ class FrequencyDictionary:
             entry.word_count += word_count
             entry.asset_frequency += asset_frequency
             entry.download_count += download_count
-        for name in _COUNT_FIELDS:
-            value = getattr(entry, name)
-            if value > self._max[name]:
-                self._max[name] = value
         return entry
 
     def get(self, term: str) -> DictionaryEntry | None:
@@ -145,7 +133,6 @@ class FrequencyDictionary:
             raise ConfigError("only a frozen dictionary can share its entries")
         dup = FrequencyDictionary(self.locale)
         dup._entries = dict(self._entries)
-        dup._max = dict(self._max)
         for term, count in added.items():
             term = normalize_term(term)
             old = dup._entries.get(term)
@@ -153,7 +140,6 @@ class FrequencyDictionary:
                      DictionaryEntry(term, old.word_count + count,
                                      old.asset_frequency, old.download_count))
             dup._entries[term] = entry
-            dup._max["word_count"] = max(dup._max["word_count"], entry.word_count)
         return dup.freeze()
 
 
@@ -219,9 +205,6 @@ class DeleteIndex:
 
     def __len__(self) -> int:
         return len(self.variants)
-
-    def lookup(self, variant: str) -> tuple[int, ...]:
-        return self.variants.get(variant, ())
 
     def candidate_ids(self, token: str, depth: int | None = None) -> set[int]:
         """Term ids whose stored variants intersect the token's variants.
@@ -440,6 +423,5 @@ def write_dictionary_dir(directory, dictionary: FrequencyDictionary,
         "locale": dictionary.locale,
         "prefix_length": index.prefix_length,
         "max_edit_distance": index.max_edit_distance,
-        "max_counts": dictionary.max_counts,
     }
     write_atomic(base / MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True))

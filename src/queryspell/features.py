@@ -1,16 +1,17 @@
 """Candidate feature extraction for the neural ranker.
 
-Each candidate becomes a fixed-order numeric vector, all components in
-[0, 1]: log-scaled behavioral counters, normalized edit distance, one-hot
-locale and application blocks, and a phonetic-similarity score (English
-only; neutral 0.5 elsewhere so the ranker cannot read "non-English" as
-"phonetically dissimilar").
+Each candidate becomes one row of a fixed-order numeric matrix, all
+components in [0, 1]: log-scaled behavioral counters, normalized edit
+distance, one-hot locale and application blocks, and a phonetic-similarity
+score (English only; neutral 0.5 elsewhere so the ranker cannot read
+"non-English" as "phonetically dissimilar").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +36,15 @@ class RequestContext:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Feature order and one-hot set sizes; travels with the model artifact
-    so training and serving cannot disagree on vector layout."""
+    """Feature order, one-hot set sizes and the count maxima the count
+    features are scaled by.  It travels with the model artifact, so training
+    and serving cannot disagree on the layout or the scaling."""
 
     locales: tuple[str, ...] = DEFAULT_LOCALES
     applications: tuple[str, ...] = DEFAULT_APPLICATIONS
+    # largest word_count, asset_frequency and download_count of the
+    # training dictionary; (0, 0, 0) leaves every count feature at 0
+    count_maxima: tuple[int, int, int] = (0, 0, 0)
 
     @property
     def dimension(self) -> int:
@@ -52,6 +57,15 @@ class FeatureSchema:
         names.append("phonetic_similarity")
         return names
 
+    def scaled_to(self, dictionary: FrequencyDictionary) -> "FeatureSchema":
+        """This layout with the count maxima of ``dictionary``, the one the
+        ranker is trained over."""
+        entries = dictionary.entries()
+        return replace(self, count_maxima=(
+            max((e.word_count for e in entries), default=0),
+            max((e.asset_frequency for e in entries), default=0),
+            max((e.download_count for e in entries), default=0)))
+
     def validate_context(self, context: RequestContext) -> None:
         if context.locale not in self.locales:
             raise ConfigError(f"unknown locale {context.locale!r}; "
@@ -61,40 +75,12 @@ class FeatureSchema:
                               f"configured: {', '.join(self.applications)}")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    word_count_n: float
-    asset_frequency_n: float
-    download_count_n: float
-    edit_distance_n: float
-    locale_onehot: tuple[float, ...]
-    application_onehot: tuple[float, ...]
-    phonetic_similarity: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            (self.word_count_n, self.asset_frequency_n, self.download_count_n,
-             self.edit_distance_n)
-            + self.locale_onehot + self.application_onehot
-            + (self.phonetic_similarity,),
-            dtype=np.float64,
-        )
-
-    @property
-    def dimension(self) -> int:
-        return 5 + len(self.locale_onehot) + len(self.application_onehot)
-
-
 def _log_norm(value: int, maximum: int) -> float:
     """log1p(value) / log1p(max), clamped to [0, 1]; 0 when the field has no
     signal anywhere (max == 0)."""
     if maximum <= 0:
         return 0.0
     return min(1.0, math.log1p(value) / math.log1p(maximum))
-
-
-def _onehot(tag: str, members: tuple[str, ...]) -> tuple[float, ...]:
-    return tuple(1.0 if tag == m else 0.0 for m in members)
 
 
 def phonetic_similarity(a: str, b: str) -> float:
@@ -113,27 +99,29 @@ def phonetic_similarity(a: str, b: str) -> float:
     return 1.0 - damerau_levenshtein(code_a, code_b) / longest
 
 
-def extract_features(candidate: Candidate, context: RequestContext,
-                     dictionary: FrequencyDictionary, input_token: str,
-                     schema: FeatureSchema = FeatureSchema()) -> FeatureVector:
-    """Normalized feature vector for one candidate in one request context.
+def extract_features(candidates: Sequence[Candidate], token: str,
+                     context: RequestContext, schema: FeatureSchema) -> np.ndarray:
+    """The ``(len(candidates), schema.dimension)`` feature matrix of one
+    token's candidates in one request context, one row per candidate in
+    ``schema.feature_names()`` order.
 
-    Count features are scaled against the dictionary-wide maxima snapshot so
-    training and serving use identical scaling.
+    Counts are scaled by ``schema.count_maxima``, fixed when the model was
+    trained, so a refresh of the dictionary leaves the rows of the terms it
+    does not touch as they were.
     """
     schema.validate_context(context)
-    maxima = dictionary.max_counts
-    entry = candidate.entry
-    if context.locale == "en":
-        phonetic = phonetic_similarity(input_token, candidate.term)
-    else:
-        phonetic = 0.5  # neutral: the phonetic signal is English-only
-    return FeatureVector(
-        word_count_n=_log_norm(entry.word_count, maxima["word_count"]),
-        asset_frequency_n=_log_norm(entry.asset_frequency, maxima["asset_frequency"]),
-        download_count_n=_log_norm(entry.download_count, maxima["download_count"]),
-        edit_distance_n=candidate.edit_distance / MAX_EDIT_DISTANCE,
-        locale_onehot=_onehot(context.locale, schema.locales),
-        application_onehot=_onehot(context.application, schema.applications),
-        phonetic_similarity=phonetic,
-    )
+    max_words, max_assets, max_downloads = schema.count_maxima
+    onehots = (tuple(1.0 if tag == context.locale else 0.0 for tag in schema.locales)
+               + tuple(1.0 if tag == context.application else 0.0
+                       for tag in schema.applications))
+    english = context.locale == "en"  # the phonetic signal is English-only
+    rows = []
+    for cand in candidates:
+        entry = cand.entry
+        rows.append((_log_norm(entry.word_count, max_words),
+                     _log_norm(entry.asset_frequency, max_assets),
+                     _log_norm(entry.download_count, max_downloads),
+                     cand.edit_distance / MAX_EDIT_DISTANCE)
+                    + onehots
+                    + (phonetic_similarity(token, cand.term) if english else 0.5,))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), schema.dimension)

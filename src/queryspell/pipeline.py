@@ -150,8 +150,7 @@ def correct_query(query: str, context: RequestContext, artifacts: ArtifactSet,
     start = time.perf_counter()
     rewritten = apply_mwe(query, artifacts.mwe_map)
     dictionary = artifacts.dictionary
-    boost = artifacts.boost
-    tau = boost.tau
+    tau = artifacts.boost.tau
     results: list[TokenCorrection] = []
     for token in tokenize(rewritten):
         lookup = normalize_term(token)
@@ -162,14 +161,9 @@ def correct_query(query: str, context: RequestContext, artifacts: ArtifactSet,
         if not candidates:
             results.append(TokenCorrection(token, token, False, 0.0))
             continue
-        ranked = rank(artifacts.model, candidates, context, dictionary, lookup)
-        boosted = [(c.score * boost.multiplier_for(context.application, c.term), c)
-                   for c in ranked]
-        boosted.sort(key=lambda pair: (-pair[0], -pair[1].word_count, pair[1].term))
-        for raw, cand in boosted:
-            cand.score = min(1.0, raw)  # clamp for reporting
-        top_score, top = boosted[0]
-        reported = tuple(c for _, c in boosted[:top_k])
+        ranked = rank(artifacts.model, candidates, context, lookup, artifacts.boost)
+        top = ranked[0]
+        reported = tuple(ranked[:top_k])
         if top.score >= tau:
             results.append(TokenCorrection(token, top.term, True, top.score, reported))
         else:

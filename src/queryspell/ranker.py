@@ -16,13 +16,17 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dictionary import FrequencyDictionary, write_atomic
+from .dictionary import FrequencyDictionary, normalize_term, write_atomic
 from .errors import ModelError, TrainingError
-from .features import FeatureSchema, FeatureVector, RequestContext, extract_features
-from .suggest import Candidate
+from .features import FeatureSchema, RequestContext, extract_features
+from .suggest import Candidate, suggest
+
+if TYPE_CHECKING:
+    from .pipeline import BoostConfig
 
 _log = logging.getLogger(__name__)
 
@@ -30,17 +34,7 @@ BN_EPS = 1e-9
 BN_MOMENTUM = 0.1
 DEFAULT_HIDDEN_DIMS = (64, 64, 32, 16)
 MODEL_FORMAT = "queryspell-mlp"
-MODEL_VERSION = 1
-
-
-@dataclass
-class TrainingExample:
-    features: FeatureVector
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -185,15 +179,6 @@ def forward_batch(model: MlpModel, X: np.ndarray, mode: str = "infer",
     return probs
 
 
-def forward(model: MlpModel, features: FeatureVector | np.ndarray,
-            mode: str = "infer",
-            dropout_rng: np.random.Generator | None = None) -> float:
-    """Score a single feature vector; result strictly inside (0, 1)."""
-    vec = features.as_array() if isinstance(features, FeatureVector) else np.asarray(features)
-    probs = forward_batch(model, vec.reshape(1, -1), mode=mode, dropout_rng=dropout_rng)
-    return float(probs[0])
-
-
 def bce_loss(probs: np.ndarray, z_out: np.ndarray, labels: np.ndarray) -> float:
     """Binary cross-entropy computed from logits for numerical stability."""
     z = z_out.ravel()
@@ -247,28 +232,32 @@ def init_model(input_dim: int, schema: FeatureSchema, rng: np.random.Generator,
                     dropout_rate, schema)
 
 
-def train(dataset: list[TrainingExample], hyper: Hyperparams | None = None,
-          schema: FeatureSchema = FeatureSchema()) -> MlpModel:
-    """Fit the ranker on labeled candidate vectors.
+def train(X: np.ndarray, labels: np.ndarray, schema: FeatureSchema,
+          hyper: Hyperparams | None = None) -> MlpModel:
+    """Fit the ranker on the rows of the feature matrix ``X`` laid out and
+    scaled by ``schema``, each labeled 1 (gold candidate) or 0.
 
     Requires both classes to be present and batch_size >= 2 (batch norm needs
     real batch statistics).  Raises TrainingError on divergence, reporting
-    the epoch.  Returns the model with frozen running statistics; score it
-    with mode="infer".
+    the epoch.  Returns the model, which keeps ``schema``, with frozen
+    running statistics; score it with mode="infer".
     """
     hyper = hyper or Hyperparams()
-    if not dataset:
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if not labels.size:
         raise TrainingError("empty training set")
     if hyper.batch_size < 2:
         raise TrainingError("batch_size must be >= 2 for batch normalization")
-    labels = np.array([ex.label for ex in dataset], dtype=np.float64)
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise TrainingError("labels must be 0 or 1")
     if labels.min() == labels.max():
         raise TrainingError("training set contains a single class; "
                             "need both gold and non-gold candidates")
-    X = np.stack([ex.features.as_array() for ex in dataset])
-    if X.shape[1] != schema.dimension:
-        raise TrainingError(f"feature vectors have dimension {X.shape[1]}, "
-                            f"schema expects {schema.dimension}")
+    if X.shape != (labels.size, schema.dimension):
+        raise TrainingError(f"feature matrix has shape {X.shape}, expected "
+                            f"({labels.size}, {schema.dimension}) for the labels "
+                            f"and the schema")
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(X.shape[1], schema, rng, hyper.dropout_rate, hyper.hidden_dims)
@@ -314,19 +303,23 @@ def train(dataset: list[TrainingExample], hyper: Hyperparams | None = None,
     return model
 
 
-def build_training_set(pairs, dictionary, index, context: RequestContext,
-                       schema: FeatureSchema = FeatureSchema()) -> list[TrainingExample]:
-    """Turn (corrupted query, original query) pairs into labeled examples.
+def build_training_set(pairs, dictionary: FrequencyDictionary, index,
+                       context: RequestContext, schema: FeatureSchema,
+                       ) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
+    """Turn (corrupted query, original query) pairs into ``(X, labels,
+    schema)`` for ``train``.
 
-    For every corrupted token the gold correction gets label 1 and every
-    other suggester candidate label 0.  Tokens whose gold term is missing
-    from the suggester output (or from the dictionary) cannot be learned
-    from and are dropped, with a summary logged.
+    ``schema`` gives the locale and application sets; the returned schema
+    adds the count maxima of ``dictionary``, which scale ``X``.  For every
+    corrupted token the gold correction gets label 1 and every other
+    suggester candidate label 0; the rows of one token are stacked in
+    suggester order.  Tokens whose gold term is missing from the suggester
+    output (or from the dictionary) cannot be learned from and are dropped,
+    with a summary logged.
     """
-    from .dictionary import normalize_term
-    from .suggest import suggest
-
-    examples: list[TrainingExample] = []
+    schema = schema.scaled_to(dictionary)
+    blocks: list[np.ndarray] = []
+    labels: list[float] = []
     dropped = 0
     usable = 0
     for corrupted, original in pairs:
@@ -348,32 +341,33 @@ def build_training_set(pairs, dictionary, index, context: RequestContext,
                 dropped += 1
                 continue
             usable += 1
-            for cand in candidates:
-                vec = extract_features(cand, context, dictionary, bad, schema)
-                examples.append(TrainingExample(vec, 1 if cand.term == gold else 0))
+            blocks.append(extract_features(candidates, bad, context, schema))
+            labels += [1.0 if cand.term == gold else 0.0 for cand in candidates]
     if dropped:
         _log.info("build_training_set: %d corrupted tokens usable, %d dropped "
                   "(gold not reachable)", usable, dropped)
-    return examples
+    X = np.concatenate(blocks) if blocks else np.empty((0, schema.dimension))
+    return X, np.array(labels, dtype=np.float64), schema
 
 
 def rank(model: MlpModel, candidates: list[Candidate], context: RequestContext,
-         dictionary: FrequencyDictionary, input_token: str) -> list[Candidate]:
+         input_token: str, boost: BoostConfig) -> list[Candidate]:
     """Score every candidate (one batched infer pass) and sort descending.
 
-    Ties break toward the higher word count, then lexicographic term order.
+    Each score is multiplied by the boost of its term for the request's
+    application.  Candidates sort by that product, ties broken toward the
+    higher word count, then lexicographic term order; each one's ``score``
+    is the product clamped to 1.
     """
     if not candidates:
         raise ValueError("rank() needs at least one candidate")
-    schema = model.feature_schema
-    X = np.stack([
-        extract_features(c, context, dictionary, input_token, schema).as_array()
-        for c in candidates
-    ])
-    scores = forward_batch(model, X, mode="infer")
-    for cand, score in zip(candidates, scores):
-        cand.score = float(score)
-    return sorted(candidates, key=lambda c: (-c.score, -c.word_count, c.term))
+    X = extract_features(candidates, input_token, context, model.feature_schema)
+    scored = [(float(score) * boost.multiplier_for(context.application, cand.term), cand)
+              for score, cand in zip(forward_batch(model, X, mode="infer"), candidates)]
+    scored.sort(key=lambda pair: (-pair[0], -pair[1].word_count, pair[1].term))
+    for score, cand in scored:
+        cand.score = min(1.0, score)
+    return [cand for _, cand in scored]
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -388,6 +382,7 @@ def save_model(model: MlpModel, path) -> None:
             "locales": list(model.feature_schema.locales),
             "applications": list(model.feature_schema.applications),
             "feature_names": model.feature_schema.feature_names(),
+            "count_maxima": list(model.feature_schema.count_maxima),
         },
         "layers": [],
     }
@@ -414,10 +409,18 @@ def load_model(path) -> MlpModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path} is not a speller model file")
     if doc.get("version") != MODEL_VERSION:
-        raise ModelError(f"unsupported model version {doc.get('version')!r}")
+        raise ModelError(f"unsupported model version {doc.get('version')!r} in {path}; "
+                         f"this build reads version {MODEL_VERSION}, which stores "
+                         f"the count scaling: retrain the model with `speller train`")
     schema_doc = doc.get("feature_schema", {})
+    maxima = schema_doc.get("count_maxima")
+    if not (isinstance(maxima, list) and len(maxima) == 3
+            and all(type(m) is int and m >= 0 for m in maxima)):
+        raise ModelError(f"count_maxima must be three non-negative integers, "
+                         f"got {maxima!r}")
     schema = FeatureSchema(locales=tuple(schema_doc.get("locales", ())),
-                           applications=tuple(schema_doc.get("applications", ())))
+                           applications=tuple(schema_doc.get("applications", ())),
+                           count_maxima=tuple(maxima))
     layers = doc.get("layers")
     if not isinstance(layers, list) or len(layers) != 5:
         raise ModelError("model document must contain exactly 5 layers")

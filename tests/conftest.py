@@ -62,8 +62,8 @@ def toy_model(toy_dictionary, toy_index, schema, context):
         if i % 3 == 0:
             bad = apply_error(bad, rng.choice(kinds), rng)
         rows.append((bad, term))
-    examples = build_training_set(rows, toy_dictionary, toy_index, context, schema)
-    return train(examples, Hyperparams(epochs=10, seed=5), schema)
+    return train(*build_training_set(rows, toy_dictionary, toy_index, context, schema),
+                 Hyperparams(epochs=10, seed=5))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import pytest
 
 from queryspell import (ERROR_WEIGHTS, ArtifactSet, EvalRecord, FeatureSchema,
                         RequestContext, build_delete_index, build_training_set,
-                        correct_query, evaluate, forward, inject_errors,
+                        correct_query, evaluate, inject_errors,
                         load_model, save_model, suggest, train)
 from queryspell.cli import cli_main
 from queryspell.ranker import (Hyperparams, backward_batch, bce_loss,
@@ -127,8 +127,8 @@ def test_criterion_2_latency_100k():
     sample_queries = make_queries(vocab, 1500, seed=32)
     rows = [(e.corrupted, e.original)
             for e in (inject_errors(q, rng, 0.6) for q in sample_queries)]
-    examples = build_training_set(rows, dictionary, index, context, schema)
-    model = train(examples, Hyperparams(epochs=3, batch_size=256, seed=2), schema)
+    X, labels, schema = build_training_set(rows, dictionary, index, context, schema)
+    model = train(X, labels, schema, Hyperparams(epochs=3, batch_size=256, seed=2))
     artifacts = ArtifactSet(dictionary, index, model)
 
     qrng = random.Random(77)
@@ -287,8 +287,8 @@ def test_criterion_7_learning_beats_baseline(desk_corpus):
     train_rows = [(e.corrupted, e.original) for e in errored[:50000]]
     heldout = errored[50000:]
 
-    examples = build_training_set(train_rows, dictionary, index, context, schema)
-    model = train(examples, Hyperparams(epochs=20, batch_size=256, seed=0), schema)
+    X, labels, schema = build_training_set(train_rows, dictionary, index, context, schema)
+    model = train(X, labels, schema, Hyperparams(epochs=20, batch_size=256, seed=0))
     artifacts = ArtifactSet(dictionary, index, model)
 
     pipeline_hits = 0
@@ -313,7 +313,7 @@ def test_criterion_7_learning_beats_baseline(desk_corpus):
     baseline_acc = baseline_hits / n
     ok = pipeline_acc >= 0.70 and pipeline_acc > baseline_acc
     _verdict(7, "learning sanity", ok,
-             f"{len(examples)} training examples; held-out {n}: "
+             f"{len(labels)} training examples; held-out {n}: "
              f"pipeline={pipeline_acc:.4f} (>=0.70), "
              f"baseline={baseline_acc:.4f} (must be beaten)")
 
@@ -351,6 +351,6 @@ def test_criterion_9_model_round_trip(tmp_path, toy_model):
     rng = np.random.default_rng(12)
     X = rng.random((100, toy_model.feature_schema.dimension))
     same = (forward_batch(toy_model, X) == forward_batch(loaded, X)).all()
-    spot = forward(loaded, X[0])
+    spot = forward_batch(loaded, X[:1])[0]
     _verdict(9, "model round trip", bool(same and 0 < spot < 1),
              "100 random vectors score bit-identically after save/load")

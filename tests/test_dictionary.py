@@ -27,7 +27,7 @@ class TestLoading:
         vocab = _write(tmp_path / "vocab.tsv", "photoshop\t500\n")
         d = load_dictionary(lex, [vocab])
         assert len(d) == 2
-        assert d.max_counts["word_count"] == 1000
+        assert d.get("museum").word_count == 1000
 
     def test_collision_sums_counters(self, tmp_path):
         lex = _write(tmp_path / "lex.tsv", "cloud\t10\n")
@@ -87,7 +87,9 @@ class TestArtifactDirectory:
         write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
                          tmp_path / "stats.tsv")
         _write(tmp_path / "manifest.json", json.dumps({
-            "locale": "de", "max_counts": toy_dictionary.max_counts,
+            "locale": "de",
+            "max_counts": {"asset_frequency": 29700, "download_count": 4950,
+                           "word_count": 9900},
             "max_edit_distance": 1, "prefix_length": 5, "terms": 40,
             "variants": 1}, indent=1, sort_keys=True))
         dictionary, index, _ = load_dictionary_dir(tmp_path)
@@ -180,7 +182,6 @@ class TestEntryInvariants:
             d.with_word_counts({"term": 1})
         merged = d.freeze().with_word_counts({"Term": 2, "other": 3})
         assert merged.get("term").word_count == 3 and d.get("term").word_count == 1
-        assert merged.max_counts["word_count"] == 3
         with pytest.raises(ConfigError):
             merged.add("another")
 
@@ -244,15 +245,15 @@ class TestDeleteIndex:
 
     def test_long_term_keeps_full_self_key(self):
         index = build_delete_index(_dict_of({"abcdefghij"}), 2, 7)
-        assert index.lookup("abcdefghij") == (0,)
-        assert index.lookup("abcdefg") == (0,)  # prefix, zero deletions
+        assert index.variants.get("abcdefghij", ()) == (0,)
+        assert index.variants.get("abcdefg", ()) == (0,)  # prefix, zero deletions
 
     @given(terms_strategy)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_every_term(self, terms):
         index = build_delete_index(_dict_of(terms), 2, 7)
         for tid, term in enumerate(index.terms):
-            assert tid in index.lookup(term)
+            assert tid in index.variants.get(term, ())
 
     @given(terms_strategy, st.text(alphabet="abcde", min_size=1, max_size=9))
     @settings(max_examples=150, deadline=None)

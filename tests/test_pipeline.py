@@ -4,10 +4,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from queryspell import (ArtifactSet, ArtifactStore, BoostConfig, BoostRule,
+from queryspell import (ArtifactSet, ArtifactStore, BoostConfig, BoostRule, Candidate,
                         ConfigError, FrequencyDictionary, LoadError, RequestContext,
-                        build_delete_index, correct_query, refresh_behavioral_stats,
-                        tokenize)
+                        build_delete_index, correct_query, extract_features,
+                        refresh_behavioral_stats, tokenize)
 from queryspell import dictionary as dictionary_module
 from queryspell import pipeline as pipeline_module
 from queryspell.pipeline import load_boost_config
@@ -215,15 +215,12 @@ class TestRefresh:
         entries = dict(zip(toy_dictionary.terms(), toy_dictionary.entries()))
         counts = {t: (e.word_count, e.asset_frequency, e.download_count)
                   for t, e in entries.items()}
-        max_counts = toy_dictionary.max_counts
         terms = toy_index.terms
         buckets = dict(toy_index.variants)
         log = self._write_log(tmp_path, [("museum", 100000), ("blockchain", 1000)])
         new_dict, new_index = refresh_behavioral_stats(log, toy_dictionary, toy_index)
 
         assert new_dict.get("museum").word_count == 109000
-        assert new_dict.max_counts["word_count"] == 109000
-        assert toy_dictionary.max_counts == max_counts
         assert dict(zip(toy_dictionary.terms(), toy_dictionary.entries())) == entries
         assert all(toy_dictionary.get(t) is e for t, e in entries.items())
         assert {t: (e.word_count, e.asset_frequency, e.download_count)
@@ -244,6 +241,25 @@ class TestRefresh:
                 assert bucket == buckets.get(key, ()) + (blockchain,)
             else:
                 assert bucket is buckets[key]
+
+    def test_untouched_term_keeps_its_features_and_score(
+            self, tmp_path, toy_dictionary, toy_index, toy_model, context):
+        """The count scaling is the model's, not the dictionary's: a refresh
+        that lifts museum far above every count seen in training leaves the
+        feature row and the score of medal, which the log never names, bit
+        for bit as they were."""
+        def medal(dictionary, index):
+            cand = Candidate("medal", 1, dictionary.get("medal").snapshot())
+            row = extract_features([cand], "medl", context, toy_model.feature_schema)
+            result = correct_query("medl", context, ArtifactSet(dictionary, index, toy_model))
+            (score,) = [c.score for c in result.tokens[0].candidates if c.term == "medal"]
+            return row.tobytes(), score
+
+        before = medal(toy_dictionary, toy_index)
+        log = self._write_log(tmp_path, [("museum", 100000)])
+        new_dict, new_index = refresh_behavioral_stats(log, toy_dictionary, toy_index)
+        assert new_dict.get("museum").word_count > max(toy_model.feature_schema.count_maxima)
+        assert medal(new_dict, new_index) == before
 
     def test_refresh_does_not_rebuild_the_index(self, tmp_path, toy_dictionary,
                                                 toy_index, monkeypatch):
@@ -314,9 +330,6 @@ def test_refresh_matches_full_rebuild(tmp_path, terms, logs, max_edit_distance,
         new_dict, new_index = refresh_behavioral_stats(log, dictionary, index,
                                                        min_new_term_count=100)
         assert _counts(new_dict) == {t: tuple(c) for t, c in expected.items()}
-        assert new_dict.max_counts == {
-            name: max(c[i] for c in expected.values()) for i, name in
-            enumerate(("word_count", "asset_frequency", "download_count"))}
         rebuilt = build_delete_index(new_dict, max_edit_distance, prefix_length)
         assert _term_sets(new_index) == _term_sets(rebuilt)
         assert all(list(b) == sorted(set(b)) for b in new_index.variants.values())

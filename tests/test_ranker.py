@@ -5,23 +5,25 @@ import random
 import numpy as np
 import pytest
 
-from queryspell import (Candidate, FeatureSchema, FeatureVector, FrequencyDictionary,
-                        ModelError, RequestContext, TrainingError, TrainingExample,
-                        forward, load_model, rank, save_model, train)
-from queryspell.ranker import (Hyperparams, MlpModel, backward_batch, bce_loss,
-                               forward_batch, init_model)
+from queryspell import (BoostConfig, Candidate, FeatureSchema, FrequencyDictionary,
+                        ModelError, RequestContext, TrainingError, load_model, rank,
+                        save_model, train)
+from queryspell.ranker import (MODEL_VERSION, Hyperparams, MlpModel, backward_batch,
+                               bce_loss, forward_batch, init_model)
 
 
 def _vector(schema, word_count_n=0.5, edit_distance_n=0.5, phonetic=0.5,
             locale="en", application="stock"):
-    return FeatureVector(
-        word_count_n=word_count_n, asset_frequency_n=0.3, download_count_n=0.2,
-        edit_distance_n=edit_distance_n,
-        locale_onehot=tuple(1.0 if l == locale else 0.0 for l in schema.locales),
-        application_onehot=tuple(1.0 if a == application else 0.0
-                                 for a in schema.applications),
-        phonetic_similarity=phonetic,
-    )
+    """One feature row in ``schema.feature_names()`` order."""
+    return np.array(
+        [word_count_n, 0.3, 0.2, edit_distance_n]
+        + [1.0 if l == locale else 0.0 for l in schema.locales]
+        + [1.0 if a == application else 0.0 for a in schema.applications]
+        + [phonetic])
+
+
+def _score(model, row):
+    return float(forward_batch(model, row.reshape(1, -1))[0])
 
 
 def _zero_model(schema):
@@ -41,26 +43,26 @@ def _random_model(schema, seed, hidden=(8, 8, 8, 8), dropout=0.0):
 
 
 def _toy_dataset(schema, n=200, seed=0):
-    """Separable by construction: label 1 iff edit_distance_n < 0.5."""
+    """(X, labels), separable by construction: label 1 iff edit_distance_n < 0.5."""
     rng = random.Random(seed)
-    out = []
+    rows, labels = [], []
     for _ in range(n):
         dist = rng.choice([0.25, 0.75])
-        vec = _vector(schema, word_count_n=rng.random(), edit_distance_n=dist,
-                      phonetic=rng.random())
-        out.append(TrainingExample(vec, 1 if dist < 0.5 else 0))
-    return out
+        rows.append(_vector(schema, word_count_n=rng.random(), edit_distance_n=dist,
+                            phonetic=rng.random()))
+        labels.append(1.0 if dist < 0.5 else 0.0)
+    return np.stack(rows), np.array(labels)
 
 
 class TestForward:
     def test_zero_network_outputs_half(self, schema):
         model = _zero_model(schema)
-        assert forward(model, _vector(schema)) == 0.5
+        assert _score(model, _vector(schema)) == 0.5
 
     def test_infer_is_deterministic(self, schema):
         model = _random_model(schema, 1)
         vec = _vector(schema, word_count_n=0.9)
-        assert forward(model, vec) == forward(model, vec)
+        assert _score(model, vec) == _score(model, vec)
 
     def test_outputs_in_open_unit_interval(self, schema):
         rng = np.random.default_rng(7)
@@ -140,34 +142,48 @@ class TestGradients:
 
 class TestTrain:
     def test_learns_separable_toy_set(self, schema):
-        examples = _toy_dataset(schema, 200)
-        model = train(examples, Hyperparams(seed=1), schema)
-        correct = sum(
-            (forward(model, ex.features) >= 0.5) == bool(ex.label)
-            for ex in examples)
-        assert correct / len(examples) >= 0.95
+        X, y = _toy_dataset(schema, 200)
+        model = train(X, y, schema, Hyperparams(seed=1))
+        assert ((forward_batch(model, X) >= 0.5) == (y == 1)).mean() >= 0.95
 
     def test_same_seed_gives_bitwise_identical_model(self, schema, tmp_path):
-        examples = _toy_dataset(schema, 120)
-        a = train(examples, Hyperparams(epochs=4, seed=9), schema)
-        b = train(examples, Hyperparams(epochs=4, seed=9), schema)
+        X, y = _toy_dataset(schema, 120)
+        a = train(X, y, schema, Hyperparams(epochs=4, seed=9))
+        b = train(X, y, schema, Hyperparams(epochs=4, seed=9))
         save_model(a, tmp_path / "a.json")
         save_model(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_single_class_rejected(self, schema):
-        examples = [TrainingExample(_vector(schema), 1) for _ in range(10)]
+        X = np.stack([_vector(schema)] * 10)
         with pytest.raises(TrainingError):
-            train(examples, Hyperparams(epochs=1), schema)
+            train(X, np.ones(10), schema, Hyperparams(epochs=1))
 
     def test_small_batch_rejected(self, schema):
         with pytest.raises(TrainingError):
-            train(_toy_dataset(schema, 16), Hyperparams(batch_size=1), schema)
+            train(*_toy_dataset(schema, 16), schema, Hyperparams(batch_size=1))
 
     def test_divergence_reports_epoch(self, schema):
-        examples = _toy_dataset(schema, 64)
+        X, y = _toy_dataset(schema, 64)
         with pytest.raises(TrainingError, match="epoch"):
-            train(examples, Hyperparams(epochs=30, learning_rate=1e12), schema)
+            train(X, y, schema, Hyperparams(epochs=30, learning_rate=1e12))
+
+    def test_empty_set_rejected(self, schema):
+        with pytest.raises(TrainingError, match="empty"):
+            train(np.empty((0, schema.dimension)), np.empty(0), schema)
+
+    def test_labels_other_than_zero_and_one_rejected(self, schema):
+        X, y = _toy_dataset(schema, 16)
+        y[0] = 2.0
+        with pytest.raises(TrainingError, match="0 or 1"):
+            train(X, y, schema)
+
+    def test_matrix_must_fit_labels_and_schema(self, schema):
+        X, y = _toy_dataset(schema, 16)
+        with pytest.raises(TrainingError, match="shape"):
+            train(X[:, :-1], y, schema)
+        with pytest.raises(TrainingError, match="shape"):
+            train(X[:-1], y, schema)
 
 
 class TestRank:
@@ -177,7 +193,7 @@ class TestRank:
 
     def test_single_candidate_scored(self, toy_dictionary, toy_model, context):
         cands = self._candidates(toy_dictionary, ("museum", 2))
-        (ranked,) = rank(toy_model, cands, context, toy_dictionary, "muzeem")
+        (ranked,) = rank(toy_model, cands, context, "muzeem", BoostConfig())
         assert 0.0 < ranked.score < 1.0
 
     def test_statistics_break_ties(self, schema, context, toy_model):
@@ -193,7 +209,8 @@ class TestRank:
         d2.freeze()
         cands = [Candidate("betaa", 1, d2.get("betaa").snapshot()),
                  Candidate("alpha", 1, d2.get("alpha").snapshot())]
-        ranked = rank(toy_model, cands, RequestContext("fr", "stock"), d2, "alpham")
+        ranked = rank(toy_model, cands, RequestContext("fr", "stock"), "alpham",
+                      BoostConfig())
         # same score (fr disables phonetics; counts equal; distance equal)
         assert ranked[0].score == ranked[1].score
         assert [c.term for c in ranked] == ["alpha", "betaa"]  # lexicographic tie
@@ -202,17 +219,17 @@ class TestRank:
             self, toy_dictionary, toy_index, toy_model, context):
         from queryspell import suggest
         cands = suggest(toy_index, toy_dictionary, "muzeem")
-        ranked = rank(toy_model, cands, context, toy_dictionary, "muzeem")
+        ranked = rank(toy_model, cands, context, "muzeem", BoostConfig())
         assert ranked[0].term == "museum"
 
-    def test_empty_candidates_rejected(self, toy_model, toy_dictionary, context):
+    def test_empty_candidates_rejected(self, toy_model, context):
         with pytest.raises(ValueError):
-            rank(toy_model, [], context, toy_dictionary, "x")
+            rank(toy_model, [], context, "x", BoostConfig())
 
 
 class TestModelIO:
     def test_round_trip_bit_exact(self, schema, tmp_path):
-        model = train(_toy_dataset(schema, 80), Hyperparams(epochs=2, seed=3), schema)
+        model = train(*_toy_dataset(schema, 80), schema, Hyperparams(epochs=2, seed=3))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -260,6 +277,38 @@ class TestModelIO:
         doc["feature_schema"]["locales"] = ["en"]  # narrower than the tensors
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError):
+            load_model(path)
+
+    def test_round_trip_keeps_count_maxima(self, tmp_path):
+        schema = FeatureSchema(count_maxima=(9900, 29700, 4950))
+        path = tmp_path / "model.json"
+        save_model(_random_model(schema, 0), path)
+        assert json.loads(path.read_text())["version"] == MODEL_VERSION == 2
+        assert load_model(path).feature_schema == schema
+
+    def test_version_1_file_asks_for_retraining(self, schema, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_random_model(schema, 0), path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        del doc["feature_schema"]["count_maxima"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=r"version 1\b.*retrain"):
+            load_model(path)
+
+    @pytest.mark.parametrize("maxima", [None, [9900, -1, 4950], [9900, 29700.0, 4950],
+                                        [9900, "29700", 4950], [9900, True, 4950],
+                                        [9900, 29700], [9900, 29700, 4950, 1], 9900])
+    def test_bad_count_maxima_rejected(self, schema, tmp_path, maxima):
+        path = tmp_path / "model.json"
+        save_model(_random_model(schema, 0), path)
+        doc = json.loads(path.read_text())
+        if maxima is None:
+            del doc["feature_schema"]["count_maxima"]
+        else:
+            doc["feature_schema"]["count_maxima"] = maxima
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="count_maxima"):
             load_model(path)
 
     def test_five_layer_invariant(self, schema):
