@@ -9,13 +9,12 @@ from .dictionary import (DeleteIndex, DictionaryEntry, FrequencyDictionary,
                          build_delete_index, generate_deletes, load_dictionary,
                          normalize_term, write_dictionary)
 from .datagen import (ERROR_WEIGHTS, ErroredQuery, ErrorType, apply_error,
-                      inject_errors, load_misspelling_corpus)
+                      inject_errors)
 from .errors import (ConfigError, LoadError, ModelError, SpellerError,
                      TrainingError)
 from .evaluate import EvalRecord, EvalReport, evaluate, load_eval_records
 from .features import (FeatureSchema, RequestContext, extract_features,
                        phonetic_similarity)
-from .metaphone import double_metaphone
 from .mwe import MweMap, apply_mwe, load_mwe_map
 from .pipeline import (ArtifactSet, ArtifactStore, BoostConfig, BoostRule,
                        CorrectionResult, TokenCorrection, correct_query,
@@ -34,10 +33,9 @@ __all__ = [
     "MlpModel", "ModelError", "MweMap", "RequestContext", "SpellerError",
     "TokenCorrection", "TrainingError", "apply_error", "apply_mwe",
     "build_delete_index", "build_training_set", "correct_query",
-    "damerau_levenshtein", "double_metaphone", "evaluate", "extract_features",
-    "generate_deletes", "inject_errors", "load_boost_config",
-    "load_dictionary", "load_eval_records", "load_misspelling_corpus",
-    "load_model", "load_mwe_map", "normalize_term", "phonetic_similarity",
-    "rank", "refresh_behavioral_stats", "save_model", "suggest", "tokenize",
-    "train", "write_dictionary",
+    "damerau_levenshtein", "evaluate", "extract_features", "generate_deletes",
+    "inject_errors", "load_boost_config", "load_dictionary",
+    "load_eval_records", "load_model", "load_mwe_map", "normalize_term",
+    "phonetic_similarity", "rank", "refresh_behavioral_stats", "save_model",
+    "suggest", "tokenize", "train", "write_dictionary",
 ]

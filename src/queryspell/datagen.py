@@ -13,8 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .dictionary import iter_tsv, normalize_term, write_atomic
-from .errors import LoadError
+from .dictionary import iter_tsv, write_atomic
 
 
 class ErrorType(Enum):
@@ -40,7 +39,7 @@ _WEIGHTS = tuple(ERROR_WEIGHTS.values())
 
 # For vowel additions, only vowels that usually follow one another: each vowel
 # carries a weighted list of likely companions ('e' strongly prefers 'i' over
-# 'u').  Overridable per locale via the vowel_table argument.
+# 'u').
 VOWEL_COMPANIONS: dict[str, tuple[tuple[str, int], ...]] = {
     "a": (("i", 4), ("u", 3), ("e", 2), ("o", 1)),
     "e": (("i", 5), ("a", 3), ("e", 2), ("u", 1)),
@@ -141,8 +140,7 @@ def _vowel_positions(token: str) -> list[int]:
     return [i for i, ch in enumerate(token) if ch in _VOWEL_CHARS]
 
 
-def _vowel_add_remove(token: str, rng: random.Random,
-                      vowel_table: dict) -> str:
+def _vowel_add_remove(token: str, rng: random.Random) -> str:
     positions = _vowel_positions(token)
     can_remove = len(token) >= 2
     if can_remove and rng.random() < 0.5:
@@ -150,7 +148,7 @@ def _vowel_add_remove(token: str, rng: random.Random,
         return token[:i] + token[i + 1:]
     i = rng.choice(positions)
     base = _strip_accent(token[i])
-    table = vowel_table.get(base, (("e", 1),))
+    table = VOWEL_COMPANIONS.get(base, (("e", 1),))
     return token[:i + 1] + _weighted_char(rng, table) + token[i + 1:]
 
 
@@ -228,7 +226,7 @@ def resolve_error_type(token: str, requested: ErrorType) -> ErrorType:
 
 
 def apply_error(token: str, error_type: ErrorType, rng: random.Random,
-                locale: str = "en", vowel_table=None) -> str:
+                locale: str = "en") -> str:
     """Corrupt a token with one application of the given error class.
 
     Falls back per resolve_error_type when the class cannot apply; the
@@ -243,7 +241,7 @@ def apply_error(token: str, error_type: ErrorType, rng: random.Random,
     if resolved is ErrorType.LETTER_ORDER:
         return _letter_order(token, rng)
     if resolved is ErrorType.VOWEL_ADD_REMOVE:
-        return _vowel_add_remove(token, rng, vowel_table or VOWEL_COMPANIONS)
+        return _vowel_add_remove(token, rng)
     if resolved is ErrorType.LETTER_ADD_REMOVE:
         return _letter_add_remove(token, rng, layout)
     if resolved is ErrorType.LETTER_CHANGE:
@@ -255,7 +253,7 @@ def apply_error(token: str, error_type: ErrorType, rng: random.Random,
 
 def inject_errors(query: str, rng: random.Random,
                   per_token_error_prob: float = 0.5,
-                  locale: str = "en", vowel_table=None) -> ErroredQuery:
+                  locale: str = "en") -> ErroredQuery:
     """Corrupt each token independently with the given probability; if no
     token is selected, one uniformly chosen token is corrupted so every
     output carries at least one error.  Error classes are drawn at the
@@ -274,24 +272,9 @@ def inject_errors(query: str, rng: random.Random,
     for i in selected:
         drawn = rng.choices(_ERROR_TYPES, weights=_WEIGHTS, k=1)[0]
         resolved = resolve_error_type(tokens[i], drawn)
-        corrupted[i] = apply_error(tokens[i], resolved, rng,
-                                   locale=locale, vowel_table=vowel_table)
+        corrupted[i] = apply_error(tokens[i], resolved, rng, locale=locale)
         applied.append((i, resolved))
     return ErroredQuery(query, corrupted, applied)
-
-
-def load_misspelling_corpus(path) -> list[tuple[str, str]]:
-    """Pair-corpus TSV ``misspelled<TAB>correct``; '#' comments ignored.
-
-    Pairs are normalized like dictionary terms; duplicates are preserved
-    (they are frequency evidence).
-    """
-    pairs: list[tuple[str, str]] = []
-    for line_no, (bad, good) in iter_tsv(path, "misspelled", "correct"):
-        if not bad.strip() or not good.strip():
-            raise LoadError("expected 'misspelled<TAB>correct'", path, line_no)
-        pairs.append((normalize_term(bad.strip()), normalize_term(good.strip())))
-    return pairs
 
 
 def write_dataset(path, errored: list[ErroredQuery]) -> None:

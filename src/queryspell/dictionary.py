@@ -30,10 +30,12 @@ def normalize_term(text: str) -> str:
     return unicodedata.normalize("NFC", text).lower()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DictionaryEntry:
     """Per-term statistics: occurrences in query logs, associated assets,
-    downloads over first-page results."""
+    downloads over first-page results.  Immutable, so a dictionary hands
+    out its own entries and shares them with the dictionaries derived from
+    it."""
 
     term: str
     word_count: int = 0
@@ -48,18 +50,6 @@ class DictionaryEntry:
         if self.term != normalize_term(self.term):
             raise ValueError(f"dictionary term is not NFC-lowercase: {self.term!r}")
         _check_counts(self.word_count, self.asset_frequency, self.download_count)
-
-    def snapshot(self) -> "DictionaryEntry":
-        """A detached copy, taken for every candidate ``suggest`` returns.
-        It skips ``__post_init__``, whose checks this entry already passed,
-        and sets the fields one by one, which keeps the compact instance
-        layout (``copy.copy`` would take twice the memory)."""
-        dup = object.__new__(DictionaryEntry)
-        dup.term = self.term
-        dup.word_count = self.word_count
-        dup.asset_frequency = self.asset_frequency
-        dup.download_count = self.download_count
-        return dup
 
 
 def _check_counts(word_count: int, asset_frequency: int, download_count: int) -> None:
@@ -99,20 +89,20 @@ class FrequencyDictionary:
 
     def add(self, term: str, word_count: int = 0, asset_frequency: int = 0,
             download_count: int = 0) -> DictionaryEntry:
-        """Insert a term or, on collision, sum its counters into the existing
-        entry (multiple sources are frequency evidence, not authorities)."""
+        """Insert a term or, on collision, replace its entry with one whose
+        counters are the sums (multiple sources are frequency evidence, not
+        authorities)."""
         if self._frozen:
             raise ConfigError("dictionary is frozen; rebuild instead of mutating")
         term = normalize_term(term)
-        entry = self._entries.get(term)
-        if entry is None:
-            entry = DictionaryEntry(term, word_count, asset_frequency, download_count)
-            self._entries[term] = entry
-        else:
+        old = self._entries.get(term)
+        if old is not None:
             _check_counts(word_count, asset_frequency, download_count)
-            entry.word_count += word_count
-            entry.asset_frequency += asset_frequency
-            entry.download_count += download_count
+            word_count += old.word_count
+            asset_frequency += old.asset_frequency
+            download_count += old.download_count
+        entry = DictionaryEntry(term, word_count, asset_frequency, download_count)
+        self._entries[term] = entry
         return entry
 
     def get(self, term: str) -> DictionaryEntry | None:
@@ -126,9 +116,8 @@ class FrequencyDictionary:
         """A frozen dictionary in which each term of ``added`` has its count
         summed into ``word_count``, a term not yet here entering with that
         count.  Only those terms get new entries; every other entry is
-        shared with this dictionary, which is left as it was.  Sharing is
-        safe because both dictionaries are frozen and nothing mutates an
-        entry of a frozen dictionary."""
+        shared with this dictionary, which is left as it was; entries are
+        immutable, so sharing them is safe."""
         if not self._frozen:
             raise ConfigError("only a frozen dictionary can share its entries")
         dup = FrequencyDictionary(self.locale)
@@ -303,21 +292,20 @@ def _parse_term(raw: str, path, line_no: int) -> str:
     return term
 
 
-def _load_term_counts(path, dictionary: FrequencyDictionary) -> None:
+def _load_term_counts(path, sums: dict[str, list[int]]) -> None:
     """Lexicon / custom-vocab TSV: ``term<TAB>word_count``."""
     for line_no, (term, count) in iter_tsv(path, "term", "word_count"):
-        dictionary.add(_parse_term(term, path, line_no),
-                       word_count=parse_count(count, path, line_no, "word_count"))
+        counts = sums.setdefault(_parse_term(term, path, line_no), [0, 0, 0])
+        counts[0] += parse_count(count, path, line_no, "word_count")
 
 
-def _load_term_stats(path, dictionary: FrequencyDictionary) -> None:
+def _load_term_stats(path, sums: dict[str, list[int]]) -> None:
     """Stats TSV: ``term<TAB>asset_frequency<TAB>download_count``."""
     for line_no, (term, assets, downloads) in iter_tsv(path, "term", "asset_frequency",
                                                         "download_count"):
-        dictionary.add(
-            _parse_term(term, path, line_no),
-            asset_frequency=parse_count(assets, path, line_no, "asset_frequency"),
-            download_count=parse_count(downloads, path, line_no, "download_count"))
+        counts = sums.setdefault(_parse_term(term, path, line_no), [0, 0, 0])
+        counts[1] += parse_count(assets, path, line_no, "asset_frequency")
+        counts[2] += parse_count(downloads, path, line_no, "download_count")
 
 
 def load_dictionary(lexicon_file, custom_vocab_files: Iterable = (),
@@ -327,13 +315,17 @@ def load_dictionary(lexicon_file, custom_vocab_files: Iterable = (),
     Terms are NFC-lowercased; counters are summed when the same term appears
     in several sources.  Returns a frozen dictionary.
     """
-    dictionary = FrequencyDictionary(locale)
+    sums: dict[str, list[int]] = {}
     for path in (lexicon_file, *custom_vocab_files):
-        _load_term_counts(path, dictionary)
+        _load_term_counts(path, sums)
     if stats_file is not None:
-        _load_term_stats(stats_file, dictionary)
-    if len(dictionary) == 0:
+        _load_term_stats(stats_file, sums)
+    if not sums:
         raise ConfigError("dictionary sources contained no terms")
+    # One add per term: entries are immutable, so each add makes a new one.
+    dictionary = FrequencyDictionary(locale)
+    for term, (words, assets, downloads) in sums.items():
+        dictionary.add(term, words, assets, downloads)
     return dictionary.freeze()
 
 

@@ -1,7 +1,8 @@
-"""Double Metaphone phonetic encoding (Lawrence Philips' 1999 algorithm).
+"""Primary Double Metaphone code (Lawrence Philips' 1999 algorithm).
 
-Encodes a word into a primary and an optional secondary phonetic key so that
-sound-alike misspellings ("muzeem" / "museum") map to the same code.
+Encodes a word into the primary phonetic key of Double Metaphone so that
+sound-alike misspellings ("muzeem" / "museum") map to the same code.  The
+algorithm's secondary (alternate pronunciation) key is not computed.
 Characters outside the algorithm's repertoire (digits, punctuation,
 accented letters) are skipped, mirroring the canonical implementations.
 """
@@ -21,13 +22,15 @@ def _any_at(text: str, start: int, *options: str) -> bool:
     return False
 
 
-def double_metaphone(word: str) -> tuple[str, str | None]:
-    """Return (primary, secondary) codes; secondary is None when identical.
+@lru_cache(maxsize=65536)
+def primary_code(word: str) -> str:
+    """The primary Double Metaphone code of a word, cached for the hot
+    ranking path.
 
-    >>> double_metaphone("museum")
-    ('MSM', None)
-    >>> double_metaphone("smith")
-    ('SM0', 'XMT')
+    >>> primary_code("museum")
+    'MSM'
+    >>> primary_code("smith")
+    'SM0'
     """
     raw = word.upper()
     slavo_germanic = ("W" in raw or "K" in raw or "CZ" in raw or "WITZ" in raw)
@@ -35,18 +38,17 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
     st = "-" * first + raw + " " * 5
     last = first + len(raw) - 1
     pos = first
-    pri = sec = ""
+    code = ""
 
     if st[first:first + 2] in _SILENT_STARTS:
         pos += 1
     if st[first] == "X":  # initial X sounds like Z, mapped to S
-        pri = sec = "S"
+        code = "S"
         pos += 1
 
     while pos <= last:
         ch = st[pos]
-        # nxt = (primary_add, advance) or (primary_add, secondary_add, advance)
-        nxt: tuple = (None, 1)
+        nxt: tuple[str | None, int] = (None, 1)  # (code to add, advance)
 
         if ch in _VOWELS:
             if pos == first:
@@ -67,7 +69,7 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
                 nxt = ("K", 2)
             elif st[pos:pos + 2] == "CH":
                 if pos > first and st[pos:pos + 4] == "CHAE":
-                    nxt = ("K", "X", 2)
+                    nxt = ("K", 2)
                 elif (pos == first
                       and (_any_at(st, pos + 1, "HARAC", "HARIS")
                            or _any_at(st, pos + 1, "HOR", "HYM", "HIA", "HEM"))
@@ -80,11 +82,11 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
                           and st[pos + 2] in ("L", "R", "N", "M", "B", "H", "F", "V", "W", " "))):
                     nxt = ("K", 1)
                 elif pos > first:
-                    nxt = ("K", 2) if st[first:first + 2] == "MC" else ("X", "K", 2)
+                    nxt = ("K", 2) if st[first:first + 2] == "MC" else ("X", 2)
                 else:
                     nxt = ("X", 2)
             elif st[pos:pos + 2] == "CZ" and st[pos - 2:pos + 2] != "WICZ":
-                nxt = ("S", "X", 2)
+                nxt = ("S", 2)
             elif st[pos + 1:pos + 4] == "CIA":
                 nxt = ("X", 3)
             elif st[pos:pos + 2] == "CC" and not (pos == first + 1 and st[first] == "M"):
@@ -99,10 +101,7 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
             elif st[pos:pos + 2] in ("CK", "CG", "CQ"):
                 nxt = ("K", 2)
             elif st[pos:pos + 2] in ("CI", "CE", "CY"):
-                if st[pos:pos + 3] in ("CIO", "CIE", "CIA"):
-                    nxt = ("S", "X", 2)
-                else:
-                    nxt = ("S", 2)
+                nxt = ("S", 2)
             elif st[pos + 1:pos + 3] in (" C", " Q", " G"):
                 nxt = ("K", 3)
             elif st[pos + 1] in ("C", "K", "Q") and st[pos + 1:pos + 3] not in ("CE", "CI"):
@@ -139,30 +138,28 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
                     nxt = ("K", 2)
             elif st[pos + 1] == "N":
                 if pos == first + 1 and st[first] in _VOWELS and not slavo_germanic:
-                    nxt = ("KN", "N", 2)
+                    nxt = ("KN", 2)
                 elif st[pos + 2:pos + 4] != "EY" and st[pos + 1] != "Y" and not slavo_germanic:
-                    nxt = ("N", "KN", 2)
+                    nxt = ("N", 2)
                 else:
                     nxt = ("KN", 2)
             elif st[pos + 1:pos + 3] == "LI" and not slavo_germanic:
-                nxt = ("KL", "L", 2)
+                nxt = ("KL", 2)
             elif pos == first and (st[pos + 1] == "Y"
                                    or _any_at(st, pos + 1, "ES", "EP", "EB", "EL", "EY",
                                               "IB", "IL", "IN", "IE", "EI", "ER")):
-                nxt = ("K", "J", 2)
+                nxt = ("K", 2)
             elif ((st[pos + 1:pos + 3] == "ER" or st[pos + 1] == "Y")
                   and not _any_at(st, first, "DANGER", "RANGER", "MANGER")
                   and st[pos - 1] not in ("E", "I")
                   and st[pos - 1:pos + 2] not in ("RGY", "OGY")):
-                nxt = ("K", "J", 2)
+                nxt = ("K", 2)
             elif st[pos + 1] in ("E", "I", "Y") or st[pos - 1:pos + 3] in ("AGGI", "OGGI"):
                 if (_any_at(st, first, "VON ", "VAN ") or st[first:first + 3] == "SCH"
                         or st[pos + 1:pos + 3] == "ET"):
                     nxt = ("K", 2)
-                elif st[pos + 1:pos + 5] == "IER ":
-                    nxt = ("J", 2)
                 else:
-                    nxt = ("J", "K", 2)
+                    nxt = ("J", 2)
             elif st[pos + 1] == "G":
                 nxt = ("K", 2)
             else:
@@ -175,38 +172,21 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
                 nxt = (None, 1)
 
         elif ch == "J":
-            if st[pos:pos + 4] == "JOSE" or st[first:first + 4] == "SAN ":
-                if (pos == first and st[pos + 4] == " ") or st[first:first + 4] == "SAN ":
-                    nxt = ("H",)
-                else:
-                    nxt = ("J", "H")
-            elif pos == first and st[pos:pos + 4] != "JOSE":
-                nxt = ("J", "A")
-            elif (st[pos - 1] in _VOWELS and not slavo_germanic
-                  and st[pos + 1] in ("A", "O")):
-                nxt = ("J", "H")
-            elif pos == last:
-                nxt = ("J", " ")
-            elif (st[pos + 1] not in ("L", "T", "K", "S", "N", "M", "B", "Z")
-                  and st[pos - 1] not in ("S", "K", "L")):
-                nxt = ("J",)
+            if st[first:first + 4] == "SAN " or (pos == first and st[pos:pos + 5] == "JOSE "):
+                add = "H"
+            elif (pos == first or pos == last or st[pos:pos + 4] == "JOSE"
+                  or (st[pos + 1] not in ("L", "T", "K", "S", "N", "M", "B", "Z")
+                      and st[pos - 1] not in ("S", "K", "L"))):
+                add = "J"
             else:
-                nxt = (None,)
-            nxt = nxt + ((2,) if st[pos + 1] == "J" else (1,))
+                add = None
+            nxt = (add, 2 if st[pos + 1] == "J" else 1)
 
         elif ch == "K":
             nxt = ("K", 2) if st[pos + 1] == "K" else ("K", 1)
 
         elif ch == "L":
-            if st[pos + 1] == "L":
-                if ((pos == last - 2 and st[pos - 1:pos + 3] in ("ILLO", "ILLA", "ALLE"))
-                        or ((st[last - 1:last + 1] in ("AS", "OS") or st[last] in ("A", "O"))
-                            and st[pos - 1:pos + 3] == "ALLE")):
-                    nxt = ("L", "", 2)
-                else:
-                    nxt = ("L", 2)
-            else:
-                nxt = ("L", 1)
+            nxt = ("L", 2) if st[pos + 1] == "L" else ("L", 1)
 
         elif ch == "M":
             if ((st[pos + 1:pos + 4] == "UMB"
@@ -233,45 +213,38 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
         elif ch == "R":
             if (pos == last and not slavo_germanic
                     and st[pos - 2:pos] == "IE" and st[pos - 4:pos - 2] not in ("ME", "MA")):
-                nxt = ("", "R")
+                add = None
             else:
-                nxt = ("R",)
-            nxt = nxt + ((2,) if st[pos + 1] == "R" else (1,))
+                add = "R"
+            nxt = (add, 2 if st[pos + 1] == "R" else 1)
 
         elif ch == "S":
             if st[pos - 1:pos + 2] in ("ISL", "YSL"):
                 nxt = (None, 1)
             elif pos == first and st[first:first + 5] == "SUGAR":
-                nxt = ("X", "S", 1)
+                nxt = ("X", 1)
             elif st[pos:pos + 2] == "SH":
                 if _any_at(st, pos + 1, "HEIM", "HOEK", "HOLM", "HOLZ"):
                     nxt = ("S", 2)
                 else:
                     nxt = ("X", 2)
             elif st[pos:pos + 3] in ("SIO", "SIA") or st[pos:pos + 4] == "SIAN":
-                nxt = ("S", 3) if slavo_germanic else ("S", "X", 3)
+                nxt = ("S", 3)
             elif ((pos == first and st[pos + 1] in ("M", "N", "L", "W"))
                   or st[pos + 1] == "Z"):
-                nxt = ("S", "X") + ((2,) if st[pos + 1] == "Z" else (1,))
+                nxt = ("S", 2 if st[pos + 1] == "Z" else 1)
             elif st[pos:pos + 2] == "SC":
                 if st[pos + 2] == "H":
-                    if _any_at(st, pos + 3, "OO", "ER", "EN", "UY", "ED", "EM"):
-                        if _any_at(st, pos + 3, "ER", "EN"):
-                            nxt = ("X", "SK", 3)
-                        else:
-                            nxt = ("SK", 3)
-                    elif pos == first and st[first + 3] not in _VOWELS and st[first + 3] != "W":
-                        nxt = ("X", "S", 3)
-                    else:
-                        nxt = ("X", 3)
+                    nxt = (("SK", 3) if _any_at(st, pos + 3, "OO", "UY", "ED", "EM")
+                           else ("X", 3))
                 elif st[pos + 2] in ("I", "E", "Y"):
                     nxt = ("S", 3)
                 else:
                     nxt = ("SK", 3)
             elif pos == last and st[pos - 2:pos] in ("AI", "OI"):
-                nxt = ("", "S", 1)
+                nxt = (None, 1)
             else:
-                nxt = ("S",) + ((2,) if st[pos + 1] in ("S", "Z") else (1,))
+                nxt = ("S", 2 if st[pos + 1] in ("S", "Z") else 1)
 
         elif ch == "T":
             if st[pos:pos + 4] == "TION":
@@ -284,7 +257,7 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
                         or st[first:first + 3] == "SCH"):
                     nxt = ("T", 2)
                 else:
-                    nxt = ("0", "T", 2)
+                    nxt = ("0", 2)
             elif st[pos + 1] in ("T", "D"):
                 nxt = ("T", 2)
             else:
@@ -297,53 +270,24 @@ def double_metaphone(word: str) -> tuple[str, str | None]:
             if st[pos:pos + 2] == "WR":
                 nxt = ("R", 2)
             elif pos == first and (st[pos + 1] in _VOWELS or st[pos:pos + 2] == "WH"):
-                if st[pos + 1] in _VOWELS:
-                    nxt = ("A", "F", 1)
-                else:
-                    nxt = ("A", 1)
-            elif ((pos == last and st[pos - 1] in _VOWELS)
-                  or _any_at(st, pos - 1, "EWSKI", "EWSKY", "OWSKI", "OWSKY")
-                  or st[first:first + 3] == "SCH"):
-                nxt = ("", "F", 1)
-            elif st[pos:pos + 4] in ("WICZ", "WITZ"):
-                nxt = ("TS", "FX", 4)
-            else:
-                nxt = (None, 1)
+                nxt = ("A", 1)
+            # After an initial SCH a W adds nothing, even before ICZ/ITZ.
+            elif st[pos:pos + 4] in ("WICZ", "WITZ") and st[first:first + 3] != "SCH":
+                nxt = ("TS", 4)
 
         elif ch == "X":
             if (pos == last and (st[pos - 3:pos] in ("IAU", "EAU")
                                  or st[pos - 2:pos] in ("AU", "OU"))):
-                nxt = (None,)
+                add = None
             else:
-                nxt = ("KS",)
-            nxt = nxt + ((2,) if st[pos + 1] in ("C", "X") else (1,))
+                add = "KS"
+            nxt = (add, 2 if st[pos + 1] in ("C", "X") else 1)
 
         elif ch == "Z":
-            if st[pos + 1] == "H":
-                nxt = ("J",)
-            elif (st[pos + 1:pos + 3] in ("ZO", "ZI", "ZA")
-                  or (slavo_germanic and pos > first and st[pos - 1] != "T")):
-                nxt = ("S", "TS")
-            else:
-                nxt = ("S",)
-            nxt = nxt + ((2,) if st[pos + 1] == "Z" else (1,))
+            nxt = ("J" if st[pos + 1] == "H" else "S", 2 if st[pos + 1] == "Z" else 1)
 
-        if len(nxt) == 2:
-            if nxt[0]:
-                pri += nxt[0]
-                sec += nxt[0]
-            pos += nxt[1]
-        else:
-            if nxt[0]:
-                pri += nxt[0]
-            if nxt[1]:
-                sec += nxt[1]
-            pos += nxt[2]
+        if nxt[0]:
+            code += nxt[0]
+        pos += nxt[1]
 
-    return (pri, None) if pri == sec else (pri, sec)
-
-
-@lru_cache(maxsize=65536)
-def primary_code(word: str) -> str:
-    """Cached primary Double Metaphone code, for hot ranking paths."""
-    return double_metaphone(word)[0]
+    return code

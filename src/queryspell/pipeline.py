@@ -136,8 +136,8 @@ def tokenize(query: str) -> list[str]:
     return unicodedata.normalize("NFC", query).split()
 
 
-def correct_query(query: str, context: RequestContext, artifacts: ArtifactSet,
-                  top_k: int = DEFAULT_TOP_K) -> CorrectionResult:
+def correct_query(query: str, context: RequestContext,
+                  artifacts: ArtifactSet) -> CorrectionResult:
     """Correct a query against a loaded artifact snapshot.
 
     Per token: in-dictionary tokens pass through untouched; for the rest the
@@ -163,7 +163,7 @@ def correct_query(query: str, context: RequestContext, artifacts: ArtifactSet,
             continue
         ranked = rank(artifacts.model, candidates, context, lookup, artifacts.boost)
         top = ranked[0]
-        reported = tuple(ranked[:top_k])
+        reported = tuple(ranked[:DEFAULT_TOP_K])
         if top.score >= tau:
             results.append(TokenCorrection(token, top.term, True, top.score, reported))
         else:

@@ -122,61 +122,65 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_batch(model: MlpModel, X: np.ndarray, mode: str = "infer",
-                  dropout_rng: np.random.Generator | None = None,
-                  update_running: bool = False, collect: bool = False):
-    """Run a batch through the network; returns probabilities of shape (n,).
-
-    In train mode, batch statistics normalize each hidden pre-activation and
-    dropout masks the activations; infer mode uses the frozen running
-    statistics and no dropout, so it is deterministic and side-effect free.
-    ``collect=True`` additionally returns the per-layer cache needed for
-    backprop (and for inspecting normalized pre-activations).
-    """
-    if mode not in ("train", "infer"):
-        raise ModelError(f"unknown mode {mode!r}")
+def _input_matrix(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.weights[0].shape[0]:
         raise ModelError(
             f"feature matrix of shape {X.shape} does not match input width "
             f"{model.weights[0].shape[0]}")
-    train = mode == "train"
-    if train and model.dropout_rate > 0 and dropout_rng is None:
+    return X
+
+
+def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Score a batch; returns probabilities of shape (n,).
+
+    The frozen running statistics normalize each hidden pre-activation and
+    no dropout applies, so scoring is deterministic and side-effect free.
+    """
+    h = _input_matrix(model, X)
+    for i in range(model.num_hidden):
+        z = h @ model.weights[i] + model.biases[i]
+        xhat = (z - model.running_means[i]) * (1.0 / np.sqrt(model.running_vars[i] + BN_EPS))
+        h = np.maximum(model.gammas[i] * xhat + model.betas[i], 0.0)
+    return _sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
+
+
+def forward_train(model: MlpModel, X: np.ndarray,
+                  dropout_rng: np.random.Generator | None):
+    """Training pass over a batch; returns ``(probs, cache)``, the cache
+    holding what ``backward_batch`` needs.
+
+    Batch statistics normalize each hidden pre-activation and are folded
+    into the model's running statistics; dropout masks the activations.
+    """
+    X = _input_matrix(model, X)
+    if model.dropout_rate > 0 and dropout_rng is None:
         raise ModelError("train-mode forward with dropout needs a random generator")
 
     h = X
     layers = []
     for i in range(model.num_hidden):
         z = h @ model.weights[i] + model.biases[i]
-        if train:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            if update_running:
-                model.running_means[i] = ((1 - BN_MOMENTUM) * model.running_means[i]
-                                          + BN_MOMENTUM * mu)
-                model.running_vars[i] = ((1 - BN_MOMENTUM) * model.running_vars[i]
-                                         + BN_MOMENTUM * var)
-        else:
-            mu = model.running_means[i]
-            var = model.running_vars[i]
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        model.running_means[i] = ((1 - BN_MOMENTUM) * model.running_means[i]
+                                  + BN_MOMENTUM * mu)
+        model.running_vars[i] = ((1 - BN_MOMENTUM) * model.running_vars[i]
+                                 + BN_MOMENTUM * var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (z - mu) * inv_std
         y = model.gammas[i] * xhat + model.betas[i]
         a = np.maximum(y, 0.0)
-        if train and model.dropout_rate > 0:
+        mask = None
+        if model.dropout_rate > 0:
             mask = (dropout_rng.random(a.shape) >= model.dropout_rate)
             mask = mask / (1.0 - model.dropout_rate)
             a = a * mask
-        else:
-            mask = None
         layers.append({"input": h, "xhat": xhat, "inv_std": inv_std,
                        "bn_out": y, "mask": mask})
         h = a
     z_out = h @ model.weights[-1] + model.biases[-1]
-    probs = _sigmoid(z_out).ravel()
-    if collect:
-        return probs, {"layers": layers, "last_hidden": h, "z_out": z_out}
-    return probs
+    return _sigmoid(z_out).ravel(), {"layers": layers, "last_hidden": h, "z_out": z_out}
 
 
 def bce_loss(probs: np.ndarray, z_out: np.ndarray, labels: np.ndarray) -> float:
@@ -240,7 +244,7 @@ def train(X: np.ndarray, labels: np.ndarray, schema: FeatureSchema,
     Requires both classes to be present and batch_size >= 2 (batch norm needs
     real batch statistics).  Raises TrainingError on divergence, reporting
     the epoch.  Returns the model, which keeps ``schema``, with frozen
-    running statistics; score it with mode="infer".
+    running statistics; score it with ``forward_batch``.
     """
     hyper = hyper or Hyperparams()
     X = np.asarray(X, dtype=np.float64)
@@ -261,14 +265,8 @@ def train(X: np.ndarray, labels: np.ndarray, schema: FeatureSchema,
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(X.shape[1], schema, rng, hyper.dropout_rate, hyper.hidden_dims)
-    velocity = {("W", i): np.zeros_like(w) for i, w in enumerate(model.weights)}
-    velocity.update({("b", i): np.zeros_like(b) for i, b in enumerate(model.biases)})
-    velocity.update({("gamma", i): np.zeros_like(g) for i, g in enumerate(model.gammas)})
-    velocity.update({("beta", i): np.zeros_like(b) for i, b in enumerate(model.betas)})
-    tensors = {("W", i): w for i, w in enumerate(model.weights)}
-    tensors.update({("b", i): b for i, b in enumerate(model.biases)})
-    tensors.update({("gamma", i): g for i, g in enumerate(model.gammas)})
-    tensors.update({("beta", i): b for i, b in enumerate(model.betas)})
+    tensors = {(kind, i): t for kind, i, t in model.parameters()}
+    velocity = {key: np.zeros_like(t) for key, t in tensors.items()}
 
     n = X.shape[0]
     with np.errstate(all="ignore"):  # divergence is detected explicitly below
@@ -278,22 +276,17 @@ def train(X: np.ndarray, labels: np.ndarray, schema: FeatureSchema,
                 idx = order[start:start + hyper.batch_size]
                 if idx.size < 2:
                     continue  # a 1-row batch has no batch statistics
-                probs, cache = forward_batch(model, X[idx], mode="train",
-                                             dropout_rng=rng, update_running=True,
-                                             collect=True)
+                probs, cache = forward_train(model, X[idx], rng)
                 loss = bce_loss(probs, cache["z_out"], labels[idx])
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"training diverged (non-finite loss) at epoch {epoch}")
                 grads = backward_batch(model, cache, probs, labels[idx])
-                for kind in ("W", "b", "gamma", "beta"):
-                    for i, g in enumerate(grads[kind]):
-                        if g is None:
-                            continue
-                        v = velocity[(kind, i)]
-                        v *= hyper.momentum
-                        v -= hyper.learning_rate * g
-                        tensors[(kind, i)] += v
+                for (kind, i), tensor in tensors.items():
+                    v = velocity[(kind, i)]
+                    v *= hyper.momentum
+                    v -= hyper.learning_rate * grads[kind][i]
+                    tensor += v
                 state = (list(tensors.values())
                          + model.running_means + model.running_vars)
                 if not all(np.isfinite(t).all() for t in state):
@@ -363,7 +356,7 @@ def rank(model: MlpModel, candidates: list[Candidate], context: RequestContext,
         raise ValueError("rank() needs at least one candidate")
     X = extract_features(candidates, input_token, context, model.feature_schema)
     scored = [(float(score) * boost.multiplier_for(context.application, cand.term), cand)
-              for score, cand in zip(forward_batch(model, X, mode="infer"), candidates)]
+              for score, cand in zip(forward_batch(model, X), candidates)]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].word_count, pair[1].term))
     for score, cand in scored:
         cand.score = min(1.0, score)

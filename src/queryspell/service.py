@@ -114,16 +114,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def load_artifacts(config: ServiceConfig, require_model: bool = True) -> ArtifactSet:
-    """Load the artifact set from the configured directory."""
+def load_artifacts(config: ServiceConfig) -> ArtifactSet:
+    """Load the artifact set from the configured directory; it must hold a
+    ``model.json``."""
     directory = config.artifact_dir
     dictionary, index, build = load_dictionary_dir(directory)
     model_path = directory / "model.json"
-    model = None
-    if model_path.exists():
-        model = load_model(model_path)
-    elif require_model:
+    if not model_path.exists():
         raise ConfigError(f"missing model artifact: {model_path}")
+    model = load_model(model_path)
     mwe_path = directory / "mwe.tsv"
     mwe_map = load_mwe_map(mwe_path) if mwe_path.exists() else None
     boost_path = directory / "boost.tsv"
@@ -134,7 +133,7 @@ def load_artifacts(config: ServiceConfig, require_model: bool = True) -> Artifac
     manifest = {
         "dictionary_sha": _sha256(directory / "dictionary.tsv"),
         "stats_sha": _sha256(stats) if stats.exists() else None,
-        "model_sha": _sha256(model_path) if model_path.exists() else None,
+        "model_sha": _sha256(model_path),
         "terms": len(dictionary),
     }
     if build:

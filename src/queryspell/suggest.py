@@ -190,6 +190,6 @@ def suggest(index: DeleteIndex, dictionary: FrequencyDictionary, token: str,
     picks = [(1, tid) for tid in ones] + [(2, tid) for tid in twos]
     picks.sort(key=lambda p: (p[0], terms[p[1]]))
     return [
-        Candidate(terms[tid], dist, dictionary.get(terms[tid]).snapshot())
+        Candidate(terms[tid], dist, dictionary.get(terms[tid]))
         for dist, tid in picks
     ]

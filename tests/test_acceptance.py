@@ -20,7 +20,7 @@ from queryspell import (ERROR_WEIGHTS, ArtifactSet, EvalRecord, FeatureSchema,
                         load_model, save_model, suggest, train)
 from queryspell.cli import cli_main
 from queryspell.ranker import (Hyperparams, backward_batch, bce_loss,
-                               forward_batch, init_model)
+                               forward_batch, forward_train, init_model)
 from queryspell.service import ServiceConfig, SpellerServer, SpellerService
 
 from oracles import edit_distances_by_composition
@@ -193,11 +193,11 @@ def test_criterion_4_gradient_check():
                            np.random.default_rng(1000 + seed), 0.0, (8, 8, 8, 8))
         X = rng.normal(0.0, 1.0, size=(12, schema.dimension))
         y = rng.integers(0, 2, size=12).astype(np.float64)
-        probs, cache = forward_batch(model, X, mode="train", collect=True)
+        probs, cache = forward_train(model, X, None)
         grads = backward_batch(model, cache, probs, y)
 
         def loss_now():
-            p, c = forward_batch(model, X, mode="train", collect=True)
+            p, c = forward_train(model, X, None)
             return bce_loss(p, c["z_out"], y)
 
         h = 1e-5

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryspell import (ERROR_WEIGHTS, ErrorType, LoadError, apply_error,
-                        damerau_levenshtein, inject_errors,
-                        load_misspelling_corpus)
+                        damerau_levenshtein, inject_errors)
 from queryspell.datagen import (KEYBOARD_LAYOUTS, load_dataset,
                                 resolve_error_type, write_dataset)
 
@@ -120,23 +119,16 @@ class TestInjectErrors:
 
 
 class TestCorpusIO:
-    def test_pair_corpus_roundtrip(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        path.write_text("# comment\nmispell\tmisspell\nmispell\tmisspell\n",
-                        encoding="utf-8")
-        pairs = load_misspelling_corpus(path)
-        assert pairs == [("mispell", "misspell")] * 2  # duplicates preserved
-
     def test_comments_only_file_is_empty(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
+        path = tmp_path / "train.tsv"
         path.write_text("# a\n# b\n", encoding="utf-8")
-        assert load_misspelling_corpus(path) == []
+        assert load_dataset(path) == []
 
     def test_malformed_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        path.write_text("ok\tfine\nnot-a-pair\n", encoding="utf-8")
+        path = tmp_path / "train.tsv"
+        path.write_text("medl\tmedal\tLETTER_ADD_REMOVE\nnot-a-row\n", encoding="utf-8")
         with pytest.raises(LoadError) as err:
-            load_misspelling_corpus(path)
+            load_dataset(path)
         assert err.value.line == 2
 
     def test_dataset_roundtrip(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -161,12 +162,14 @@ class TestEntryInvariants:
             d.add("term", **{field: -1})
         assert d.get("term") == DictionaryEntry("term", 5, 5, 5)
 
-    def test_snapshot_is_an_equal_detached_copy(self):
-        entry = DictionaryEntry("term", 1, 2, 3)
-        dup = entry.snapshot()
-        assert dup == entry and dup is not entry
-        dup.word_count += 1
-        assert entry.word_count == 1
+    def test_entries_are_frozen_and_add_replaces_them(self):
+        d = FrequencyDictionary()
+        e = d.add("t", word_count=1)
+        d.add("t", word_count=2)
+        assert e.word_count == 1
+        assert d.get("t").word_count == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.word_count = 5
 
     def test_frozen_dictionary_rejects_mutation(self):
         d = FrequencyDictionary()

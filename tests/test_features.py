@@ -16,7 +16,7 @@ def _dict_with(entries):
 
 
 def _candidate(d, term, distance=1):
-    return Candidate(term, distance, d.get(term).snapshot())
+    return Candidate(term, distance, d.get(term))
 
 
 def _row(d, term, token, context, schema=FeatureSchema(), distance=1):

@@ -249,7 +249,7 @@ class TestRefresh:
         feature row and the score of medal, which the log never names, bit
         for bit as they were."""
         def medal(dictionary, index):
-            cand = Candidate("medal", 1, dictionary.get("medal").snapshot())
+            cand = Candidate("medal", 1, dictionary.get("medal"))
             row = extract_features([cand], "medl", context, toy_model.feature_schema)
             result = correct_query("medl", context, ArtifactSet(dictionary, index, toy_model))
             (score,) = [c.score for c in result.tokens[0].candidates if c.term == "medal"]

@@ -9,7 +9,7 @@ from queryspell import (BoostConfig, Candidate, FeatureSchema, FrequencyDictiona
                         ModelError, RequestContext, TrainingError, load_model, rank,
                         save_model, train)
 from queryspell.ranker import (MODEL_VERSION, Hyperparams, MlpModel, backward_batch,
-                               bce_loss, forward_batch, init_model)
+                               bce_loss, forward_batch, forward_train, init_model)
 
 
 def _vector(schema, word_count_n=0.5, edit_distance_n=0.5, phonetic=0.5,
@@ -81,7 +81,7 @@ class TestForward:
     def test_train_mode_with_dropout_needs_rng(self, schema):
         model = _random_model(schema, 0, dropout=0.2)
         with pytest.raises(ModelError):
-            forward_batch(model, np.zeros((4, schema.dimension)), mode="train")
+            forward_train(model, np.zeros((4, schema.dimension)), None)
 
 
 class TestBatchNorm:
@@ -89,7 +89,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         model = _random_model(schema, 12, hidden=(16, 16, 16, 16))
         X = rng.random((64, schema.dimension))
-        _, cache = forward_batch(model, X, mode="train", collect=True)
+        _, cache = forward_train(model, X, None)
         for layer in cache["layers"]:
             xhat = layer["xhat"]
             assert np.abs(xhat.mean(axis=0)).max() < 1e-6
@@ -99,9 +99,9 @@ class TestBatchNorm:
         model = _random_model(schema, 2)
         X = np.random.default_rng(0).random((16, schema.dimension))
         before = [m.copy() for m in model.running_means]
-        forward_batch(model, X, mode="train")
+        forward_batch(model, X)
         assert all((a == b).all() for a, b in zip(before, model.running_means))
-        forward_batch(model, X, mode="train", update_running=True)
+        forward_train(model, X, None)
         assert not all((a == b).all() for a, b in zip(before, model.running_means))
 
 
@@ -114,11 +114,11 @@ class TestGradients:
         X = rng.normal(0.0, 1.0, size=(12, schema.dimension))
         y = rng.integers(0, 2, size=12).astype(np.float64)
 
-        probs, cache = forward_batch(model, X, mode="train", collect=True)
+        probs, cache = forward_train(model, X, None)
         grads = backward_batch(model, cache, probs, y)
 
         def loss_now():
-            p, c = forward_batch(model, X, mode="train", collect=True)
+            p, c = forward_train(model, X, None)
             return bce_loss(p, c["z_out"], y)
 
         h = 1e-5
@@ -188,7 +188,7 @@ class TestTrain:
 
 class TestRank:
     def _candidates(self, toy_dictionary, *terms_dists):
-        return [Candidate(t, d, toy_dictionary.get(t).snapshot())
+        return [Candidate(t, d, toy_dictionary.get(t))
                 for t, d in terms_dists]
 
     def test_single_candidate_scored(self, toy_dictionary, toy_model, context):
@@ -207,8 +207,8 @@ class TestRank:
         d2.add("alpha", word_count=7)
         d2.add("betaa", word_count=7)
         d2.freeze()
-        cands = [Candidate("betaa", 1, d2.get("betaa").snapshot()),
-                 Candidate("alpha", 1, d2.get("alpha").snapshot())]
+        cands = [Candidate("betaa", 1, d2.get("betaa")),
+                 Candidate("alpha", 1, d2.get("alpha"))]
         ranked = rank(toy_model, cands, RequestContext("fr", "stock"), "alpham",
                       BoostConfig())
         # same score (fr disables phonetics; counts equal; distance equal)

@@ -59,8 +59,7 @@ def test_digit_and_punctuation_tokens_correctable():
 def test_candidates_carry_statistics_snapshot(toy_dictionary, toy_index):
     (cand,) = [c for c in suggest(toy_index, toy_dictionary, "muzeem")
                if c.term == "museum"]
-    assert cand.entry.word_count == toy_dictionary.get("museum").word_count
-    assert cand.entry is not toy_dictionary.get("museum")
+    assert cand.entry is toy_dictionary.get("museum")  # frozen, so shared
     assert cand.score is None
 
 
