@@ -23,7 +23,7 @@ dictionary.freeze()
 print("delete variants of 'cat' (1 deletion):", sorted(generate_deletes("cat", 1)))
 print("delete variants of 'cat' (2 deletions):", sorted(generate_deletes("cat", 2)))
 
-index = build_delete_index(dictionary, max_edit_distance=2, prefix_length=7)
+index = build_delete_index(dictionary)
 print(f"\nindex: {len(index)} variant keys for {len(dictionary)} terms")
 
 # Edit distance with adjacent transpositions: the most common typo (swapped

@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .dictionary import (DEFAULT_MAX_EDIT_DISTANCE, DEFAULT_PREFIX_LENGTH,
-                         build_delete_index, load_dictionary, load_dictionary_dir,
+from .dictionary import (build_delete_index, load_dictionary, load_dictionary_dir,
                          write_dictionary_dir)
 from .errors import SpellerError
 from .evaluate import evaluate, format_report, load_eval_records
@@ -33,7 +32,7 @@ def _context_args(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_build_index(args) -> int:
     dictionary = load_dictionary(args.lexicon, args.vocab, args.stats, args.locale)
-    index = build_delete_index(dictionary, args.max_edit_distance, args.prefix_length)
+    index = build_delete_index(dictionary)
     write_dictionary_dir(args.out_dir, dictionary, index)
     print(f"wrote {len(dictionary)} terms, {len(index)} index variants -> {args.out_dir}")
     return 0
@@ -132,10 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="extra custom-vocabulary TSV (repeatable)")
     p.add_argument("--stats", default=None,
                    help="term<TAB>asset_frequency<TAB>download_count TSV")
-    # Recorded in manifest.json; every other command reads them from there.
+    # Recorded in manifest.json; every other command reads it from there.
     p.add_argument("--locale", default="en", help="dictionary locale")
-    p.add_argument("--prefix-length", type=int, default=DEFAULT_PREFIX_LENGTH)
-    p.add_argument("--max-edit-distance", type=int, default=DEFAULT_MAX_EDIT_DISTANCE)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_build_index)
 

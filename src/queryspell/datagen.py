@@ -236,8 +236,6 @@ def apply_error(token: str, error_type: ErrorType, rng: random.Random,
         raise ValueError("cannot corrupt an empty token")
     layout = KEYBOARD_LAYOUTS.get(locale, _QWERTY)
     resolved = resolve_error_type(token, error_type)
-    if len(token) < 2:
-        return _letter_add(token, rng, layout)
     if resolved is ErrorType.LETTER_ORDER:
         return _letter_order(token, rng)
     if resolved is ErrorType.VOWEL_ADD_REMOVE:

@@ -2,10 +2,10 @@
 
 The dictionary is the universe of "correct" terms, each carrying behavioral
 statistics (query occurrences, associated assets, downloads).  The delete
-index maps every string reachable from a term's prefix by up to
-``max_edit_distance`` character deletions back to the originating terms, so
-that runtime candidate lookup only has to generate deletes of the input
-token instead of the full insert/replace/transpose neighborhood.
+index maps every string reachable from a term's prefix by up to two
+character deletions back to the originating terms, so that runtime
+candidate lookup only has to generate deletes of the input token instead of
+the full insert/replace/transpose neighborhood.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, LoadError
 
-DEFAULT_MAX_EDIT_DISTANCE = 2
-DEFAULT_PREFIX_LENGTH = 7
+# The candidate set: terms within two edits, retrieved through the deletes
+# of their first seven characters.  Fixed, so training, serving and every
+# artifact agree on it.
+MAX_EDIT_DISTANCE = 2
+PREFIX_LENGTH = 7
 DEFAULT_LOCALE = "en"
 MANIFEST_FILE = "manifest.json"
 
@@ -157,17 +160,16 @@ def generate_deletes(term: str, max_edit_distance: int) -> set[str]:
     return out
 
 
-def _index_keys(term: str, max_edit_distance: int, prefix_length: int) -> set[str]:
+def _index_keys(term: str, depth: int) -> set[str]:
     """The keys a term is filed under in a delete index, and a token looked
-    up in it: the string itself, its first ``prefix_length`` characters and
-    every deletion variant of that prefix down to ``max_edit_distance``
-    deletions.
+    up in it: the string itself, its first ``PREFIX_LENGTH`` characters and
+    every deletion variant of that prefix down to ``depth`` deletions.
 
-    >>> sorted(_index_keys("cats", 1, 3))
-    ['at', 'ca', 'cat', 'cats', 'ct']
+    >>> sorted(_index_keys("butterfly", 1))
+    ['btterf', 'buterf', 'buttef', 'butter', 'butterf', 'butterfly', 'buttrf', 'utterf']
     """
-    prefix = term[:prefix_length]
-    keys = generate_deletes(prefix, max_edit_distance) if prefix else set()
+    prefix = term[:PREFIX_LENGTH]
+    keys = generate_deletes(prefix, depth) if prefix else set()
     keys.add(term)
     keys.add(prefix)
     return keys
@@ -184,28 +186,24 @@ class DeleteIndex:
     verification happens downstream on full strings.
     """
 
-    def __init__(self, terms: tuple[str, ...], variants: dict[str, tuple[int, ...]],
-                 max_edit_distance: int, prefix_length: int):
+    def __init__(self, terms: tuple[str, ...], variants: dict[str, tuple[int, ...]]):
         self.terms = terms
         self.term_lengths = tuple(len(t) for t in terms)
         self.variants = variants
-        self.max_edit_distance = max_edit_distance
-        self.prefix_length = prefix_length
 
     def __len__(self) -> int:
         return len(self.variants)
 
-    def candidate_ids(self, token: str, depth: int | None = None) -> set[int]:
+    def candidate_ids(self, token: str, depth: int) -> set[int]:
         """Term ids whose stored variants intersect the token's variants.
 
         A complete superset of every term within ``depth`` true
-        Damerau-Levenshtein edits of the token.
+        Damerau-Levenshtein edits of the token, for ``depth`` up to
+        ``MAX_EDIT_DISTANCE``.
         """
-        if depth is None:
-            depth = self.max_edit_distance
         found: set[int] = set()
         get = self.variants.get
-        for key in _index_keys(token, depth, self.prefix_length):
+        for key in _index_keys(token, depth):
             bucket = get(key)
             if bucket:
                 found.update(bucket)
@@ -221,15 +219,12 @@ class DeleteIndex:
         variants = dict(self.variants)
         get = variants.get
         for tid, term in enumerate(added, start=len(self.terms)):
-            for key in _index_keys(term, self.max_edit_distance, self.prefix_length):
+            for key in _index_keys(term, MAX_EDIT_DISTANCE):
                 variants[key] = get(key, ()) + (tid,)
-        return DeleteIndex(self.terms + tuple(added), variants,
-                           self.max_edit_distance, self.prefix_length)
+        return DeleteIndex(self.terms + tuple(added), variants)
 
 
-def build_delete_index(dictionary: FrequencyDictionary,
-                       max_edit_distance: int = DEFAULT_MAX_EDIT_DISTANCE,
-                       prefix_length: int = DEFAULT_PREFIX_LENGTH) -> DeleteIndex:
+def build_delete_index(dictionary: FrequencyDictionary) -> DeleteIndex:
     """Precompute the delete-variant map for every dictionary term.
 
     Deterministic: identical inputs produce identical variant maps (terms are
@@ -238,19 +233,17 @@ def build_delete_index(dictionary: FrequencyDictionary,
     """
     if len(dictionary) == 0:
         raise ConfigError("cannot build a delete index over an empty dictionary")
-    if prefix_length < 1:
-        raise ConfigError("prefix_length must be >= 1")
     terms = tuple(sorted(dictionary.terms()))
     variants: dict[str, set[int]] = {}
     for tid, term in enumerate(terms):
-        for key in _index_keys(term, max_edit_distance, prefix_length):
+        for key in _index_keys(term, MAX_EDIT_DISTANCE):
             bucket = variants.get(key)
             if bucket is None:
                 variants[key] = {tid}
             else:
                 bucket.add(tid)
     frozen = {key: tuple(sorted(bucket)) for key, bucket in variants.items()}
-    return DeleteIndex(terms, frozen, max_edit_distance, prefix_length)
+    return DeleteIndex(terms, frozen)
 
 
 def parse_count(raw: str, path, line_no: int, what: str) -> int:
@@ -361,7 +354,7 @@ def write_dictionary(dictionary: FrequencyDictionary, lexicon_path, stats_path) 
 
 def _read_manifest(directory) -> dict:
     """The validated ``manifest.json`` of an artifact directory, or {} when
-    the directory has none."""
+    the directory has none.  It must record the fixed index parameters."""
     path = Path(directory) / MANIFEST_FILE
     if not path.exists():
         return {}
@@ -372,20 +365,21 @@ def _read_manifest(directory) -> dict:
     if not isinstance(manifest, dict):
         raise LoadError("manifest is not a JSON object", path)
     checks = {"locale": lambda v: isinstance(v, str) and v != "",
-              "prefix_length": lambda v: type(v) is int and v >= 1,
-              "max_edit_distance": lambda v: type(v) is int and 0 <= v <= 2}
+              "prefix_length": lambda v: type(v) is int and v == PREFIX_LENGTH,
+              "max_edit_distance": lambda v: type(v) is int and v == MAX_EDIT_DISTANCE}
     for key, valid in checks.items():
         if not valid(manifest.get(key)):
-            raise LoadError(f"bad {key} in manifest: {manifest.get(key)!r}", path)
+            raise LoadError(f"bad {key} in manifest: {manifest.get(key)!r}; "
+                            "rebuild the directory with `speller build-index`", path)
     return manifest
 
 
 def load_dictionary_dir(directory) -> tuple[FrequencyDictionary, DeleteIndex, dict]:
     """Dictionary, delete index and manifest of an artifact directory.
 
-    The index parameters and the dictionary locale come from the manifest
-    that ``write_dictionary_dir`` left there; only a directory without a
-    manifest falls back to the library defaults.
+    The dictionary locale comes from the manifest that
+    ``write_dictionary_dir`` left there; only a directory without a manifest
+    falls back to ``DEFAULT_LOCALE``.
     """
     base = Path(directory)
     lexicon = base / "dictionary.tsv"
@@ -395,17 +389,13 @@ def load_dictionary_dir(directory) -> tuple[FrequencyDictionary, DeleteIndex, di
     stats = base / "stats.tsv"
     dictionary = load_dictionary(lexicon, stats_file=stats if stats.exists() else None,
                                  locale=manifest.get("locale", DEFAULT_LOCALE))
-    index = build_delete_index(
-        dictionary,
-        manifest.get("max_edit_distance", DEFAULT_MAX_EDIT_DISTANCE),
-        manifest.get("prefix_length", DEFAULT_PREFIX_LENGTH))
-    return dictionary, index, manifest
+    return dictionary, build_delete_index(dictionary), manifest
 
 
 def write_dictionary_dir(directory, dictionary: FrequencyDictionary,
                          index: DeleteIndex) -> None:
     """Write ``dictionary.tsv``, ``stats.tsv`` and the ``manifest.json`` that
-    records the index parameters, each file replaced atomically."""
+    records the fixed index parameters, each file replaced atomically."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     write_dictionary(dictionary, base / "dictionary.tsv", base / "stats.tsv")
@@ -413,7 +403,7 @@ def write_dictionary_dir(directory, dictionary: FrequencyDictionary,
         "terms": len(dictionary),
         "variants": len(index),
         "locale": dictionary.locale,
-        "prefix_length": index.prefix_length,
-        "max_edit_distance": index.max_edit_distance,
+        "prefix_length": PREFIX_LENGTH,
+        "max_edit_distance": MAX_EDIT_DISTANCE,
     }
     write_atomic(base / MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True))

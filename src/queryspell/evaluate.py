@@ -10,7 +10,7 @@ reported as absent (None), never as zero.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from .dictionary import iter_tsv
@@ -50,14 +50,7 @@ class EvalReport:
     changed: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "total": self.total,
-            "misspelled": self.misspelled,
-            "changed": self.changed,
-        }
+        return asdict(self)
 
 
 def evaluate(records: Iterable[EvalRecord]) -> EvalReport:

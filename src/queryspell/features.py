@@ -15,15 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dictionary import FrequencyDictionary
+from .dictionary import MAX_EDIT_DISTANCE, FrequencyDictionary
 from .errors import ConfigError
 from .metaphone import primary_code
 from .suggest import Candidate, damerau_levenshtein
 
 DEFAULT_LOCALES = ("en", "fr", "de")
 DEFAULT_APPLICATIONS = ("stock", "express", "cchome")
-
-MAX_EDIT_DISTANCE = 2
 
 
 @dataclass(frozen=True)

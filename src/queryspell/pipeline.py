@@ -102,7 +102,7 @@ class ArtifactSet:
 
     dictionary: FrequencyDictionary
     index: DeleteIndex
-    model: MlpModel | None = None
+    model: MlpModel
     mwe_map: MweMap | None = None
     boost: BoostConfig = field(default_factory=BoostConfig)
     manifest: dict = field(default_factory=dict)
@@ -145,8 +145,6 @@ def correct_query(query: str, context: RequestContext,
     candidate is accepted only when its confidence reaches the threshold.
     Never fails on query content.
     """
-    if artifacts.model is None:
-        raise ConfigError("artifact snapshot has no ranker model loaded")
     start = time.perf_counter()
     rewritten = apply_mwe(query, artifacts.mwe_map)
     dictionary = artifacts.dictionary

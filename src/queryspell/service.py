@@ -8,7 +8,8 @@ correction requests, refresh serialized off to the side.  Endpoints:
 
 Artifact directory layout (all TSV formats documented in the README):
 dictionary.tsv (required), stats.tsv, model.json (required), mwe.tsv,
-boost.tsv, and manifest.json, which holds the index parameters.
+boost.tsv, and manifest.json, which records the dictionary locale and the
+fixed index parameters.
 """
 
 from __future__ import annotations
@@ -162,8 +163,6 @@ class SpellerService:
         locale = payload.get("locale", self.config.locale)
         application = payload.get("application", self.config.application)
         artifacts = self.store.snapshot()
-        if artifacts.model is None:
-            return 503, {"error": "no ranker model loaded"}
         context = RequestContext(locale, application)
         try:
             artifacts.model.feature_schema.validate_context(context)
@@ -195,17 +194,14 @@ class SpellerService:
 
     def handle_health(self) -> tuple[int, dict]:
         artifacts = self.store.snapshot()
-        model = artifacts.model
         return 200, {
             "status": "ok",
             "snapshot_timestamp": self.store.timestamp,
             "artifacts": {
                 "dictionary": {"terms": len(artifacts.dictionary),
                                "locale": artifacts.dictionary.locale},
-                "index": {"variants": len(artifacts.index),
-                          "prefix_length": artifacts.index.prefix_length,
-                          "max_edit_distance": artifacts.index.max_edit_distance},
-                "model": {"layer_dims": model.layer_dims} if model else None,
+                "index": {"variants": len(artifacts.index)},
+                "model": {"layer_dims": artifacts.model.layer_dims},
                 "mwe_entries": len(artifacts.mwe_map) if artifacts.mwe_map else 0,
                 "versions": artifacts.manifest,
             },

@@ -4,16 +4,17 @@ Lookup retrieves terms whose delete variants intersect the token's delete
 variants, verifies each with full-string Damerau-Levenshtein distance bounded
 at 2 (a longer distance is never needed, so its DP is cut short), and
 applies the escalation policy: distance-1 candidates first, distance-2 only
-when fewer than ``min_candidates`` exist at distance 1.
+when fewer than ``MIN_CANDIDATES`` exist at distance 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dictionary import DeleteIndex, DictionaryEntry, FrequencyDictionary, normalize_term
+from .dictionary import (MAX_EDIT_DISTANCE, DeleteIndex, DictionaryEntry,
+                         FrequencyDictionary, normalize_term)
 
-DEFAULT_MIN_CANDIDATES = 3
+MIN_CANDIDATES = 3
 
 
 def damerau_levenshtein(a: str, b: str, max_distance: int | None = None) -> int:
@@ -142,13 +143,13 @@ class Candidate:
         return self.entry.word_count
 
 
-def suggest(index: DeleteIndex, dictionary: FrequencyDictionary, token: str,
-            min_candidates: int = DEFAULT_MIN_CANDIDATES) -> list[Candidate]:
+def suggest(index: DeleteIndex, dictionary: FrequencyDictionary,
+            token: str) -> list[Candidate]:
     """Verified correction candidates for a token.
 
     Returns [] when the token is already a dictionary term.  Otherwise all
     terms at Damerau-Levenshtein distance exactly 1; if fewer than
-    ``min_candidates`` exist, the distance-2 terms are added.  Order is
+    ``MIN_CANDIDATES`` exist, the distance-2 terms are added.  Order is
     deterministic (distance, then term) but carries no ranking meaning.
     """
     token = normalize_term(token)
@@ -173,13 +174,13 @@ def suggest(index: DeleteIndex, dictionary: FrequencyDictionary, token: str,
         elif dist == 2:
             twos.append(tid)
 
-    if len(ones) >= min_candidates:
+    if len(ones) >= MIN_CANDIDATES:
         twos = []
     else:
         # Escalate: retrieve at full depth and verify the ids not yet seen.
         # The depth-1 pass already found every distance-1 term, so this only
         # ever adds distance-2 candidates.
-        for tid in index.candidate_ids(token, depth=index.max_edit_distance):
+        for tid in index.candidate_ids(token, depth=MAX_EDIT_DISTANCE):
             if tid in near_ids:
                 continue
             if abs(lengths[tid] - token_len) > 2:

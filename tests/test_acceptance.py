@@ -80,7 +80,7 @@ def test_criterion_1_suggester_oracle_equivalence():
         for t in terms:
             d.add(t, word_count=1)
         d.freeze()
-        index = build_delete_index(d, 2, 7)
+        index = build_delete_index(d)
         for token in _probe_tokens(rng, alphabet, terms):
             probes += 1
             got = {(c.term, c.edit_distance) for c in suggest(index, d, token)}

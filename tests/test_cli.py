@@ -6,11 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from queryspell import DeleteIndex
+from queryspell import LoadError
 from queryspell.cli import cli_main
 from queryspell.dictionary import (build_delete_index, load_dictionary_dir,
                                    write_dictionary_dir)
-from queryspell.service import ServiceConfig, SpellerService
 
 
 @pytest.fixture()
@@ -118,6 +117,11 @@ class TestTrainCorrectEval:
         assert fields[1] == "museum"
         assert 0.0 <= float(fields[2]) <= 1.0
 
+    def test_correct_without_model_exits_1(self, trained_dir, capsys):
+        (trained_dir / "model.json").unlink()
+        assert cli_main(["correct", "--artifacts", str(trained_dir), "muzeem"]) == 1
+        assert str(trained_dir / "model.json") in capsys.readouterr().err
+
     def test_correct_from_stdin(self, trained_dir, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("muzeem\nicon\n"))
@@ -165,59 +169,42 @@ class TestTrainCorrectEval:
 
 
 class TestIndexParametersFromManifest:
-    """build-index is the only place the index parameters are set; every
-    later command reads them from the artifact's manifest."""
+    """The index parameters are fixed at prefix length 7 and edit distance
+    2: build-index records them in manifest.json, the commands that read an
+    artifact directory refuse a manifest that records others, and no command
+    takes them as flags."""
 
-    @pytest.fixture()
-    def built(self, monkeypatch):
-        """(prefix_length, max_edit_distance) of every DeleteIndex built."""
-        params = []
-        real_init = DeleteIndex.__init__
-
-        def spy(self, terms, variants, max_edit_distance, prefix_length):
-            params.append((prefix_length, max_edit_distance))
-            real_init(self, terms, variants, max_edit_distance, prefix_length)
-
-        monkeypatch.setattr(DeleteIndex, "__init__", spy)
-        return params
-
-    def test_every_command_uses_build_index_parameters(self, tmp_path, sources,
-                                                       built, capsys):
-        lex, vocab, stats = sources
-        arts = tmp_path / "arts"
-        assert cli_main(["build-index", "--lexicon", str(lex), "--vocab", str(vocab),
-                         "--stats", str(stats), "--prefix-length", "5",
-                         "--max-edit-distance", "1", "--out-dir", str(arts)]) == 0
-        queries = tmp_path / "queries.txt"
-        queries.write_text("cat cart\nmedal icon\ncreative cloud\n" * 20,
-                           encoding="utf-8")
-        data = tmp_path / "train.tsv"
-        assert cli_main(["gen-data", "--in", str(queries), "--out", str(data),
-                         "--seed", "3"]) == 0
-        eval_tsv = tmp_path / "eval.tsv"
-        eval_tsv.write_text("muzeem\tmuseum\n", encoding="utf-8")
-        log = tmp_path / "log.tsv"
+    @pytest.mark.parametrize("key, value", [("prefix_length", 5),
+                                            ("max_edit_distance", 1)])
+    def test_other_manifest_parameters_are_refused(self, artifact_dir, toy_dictionary,
+                                                   key, value, capsys):
+        write_dictionary_dir(artifact_dir, toy_dictionary,
+                             build_delete_index(toy_dictionary))
+        manifest_path = artifact_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(LoadError, match="manifest.json"):
+            load_dictionary_dir(artifact_dir)
+        log = artifact_dir / "log.tsv"
         log.write_text("blockchain\t500\n", encoding="utf-8")
-        commands = {
-            "train": ["train", "--data", str(data), "--dict", str(arts),
-                      "--out", str(arts / "model.json"), "--epochs", "2"],
-            "correct": ["correct", "--artifacts", str(arts), "muzeem"],
-            "eval": ["eval", "--data", str(eval_tsv), "--artifacts", str(arts)],
-            "refresh": ["refresh", "--artifacts", str(arts), "--log", str(log)],
-        }
-        for name, argv in commands.items():
-            built.clear()
-            assert cli_main(argv) == 0, name
-            assert built and set(built) == {(5, 1)}, name
-        # "muzeem" is two edits from "museum": beyond the recorded distance 1
-        assert "muzeem\tmuzeem\t" in capsys.readouterr().out
-        assert json.loads((arts / "manifest.json").read_text())["prefix_length"] == 5
+        dictionary = (artifact_dir / "dictionary.tsv").read_bytes()
+        for argv in (["correct", "--artifacts", str(artifact_dir), "muzeem"],
+                     ["refresh", "--artifacts", str(artifact_dir), "--log", str(log)]):
+            assert cli_main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert f"bad {key} in manifest: {value};" in err
+            assert "speller build-index" in err
+        assert (artifact_dir / "dictionary.tsv").read_bytes() == dictionary
 
-        built.clear()
-        service = SpellerService(ServiceConfig(artifact_dir=arts))
-        index = service.handle_health()[1]["artifacts"]["index"]
-        assert (index["prefix_length"], index["max_edit_distance"]) == (5, 1)
-        assert set(built) == {(5, 1)}
+    @pytest.mark.parametrize("flag, value", [("--prefix-length", "5"),
+                                             ("--max-edit-distance", "1")])
+    def test_build_index_takes_no_index_flags(self, tmp_path, sources, flag, value,
+                                              capsys):
+        lex, _, _ = sources
+        assert cli_main(["build-index", "--lexicon", str(lex), flag, value,
+                         "--out-dir", str(tmp_path / "arts")]) == 2
+        assert not (tmp_path / "arts").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--data", "d", "--dict", "a", "--out", "m", "--prefix-length", "5"],
@@ -226,6 +213,7 @@ class TestIndexParametersFromManifest:
         ["refresh", "--artifacts", "a", "--log", "l", "--max-edit-distance", "1"],
         ["refresh", "--artifacts", "a", "--log", "l", "--locale", "en"],
     ])
+    # Of these flags only --locale is left, on build-index alone.
     def test_index_flags_exist_only_on_build_index(self, argv, capsys):
         assert cli_main(argv) == 2
 

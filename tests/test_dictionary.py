@@ -73,14 +73,14 @@ class TestLoading:
 
 
 class TestArtifactDirectory:
-    """dictionary.tsv + stats.tsv + manifest.json, read back with the index
-    parameters the manifest records."""
+    """dictionary.tsv + stats.tsv + manifest.json, whose manifest records
+    the fixed index parameters and refuses any other."""
 
     def test_round_trip_keeps_index_parameters(self, tmp_path, toy_dictionary):
-        index = build_delete_index(toy_dictionary, 1, 5)
+        index = build_delete_index(toy_dictionary)
         write_dictionary_dir(tmp_path, toy_dictionary, index)
         dictionary, loaded, manifest = load_dictionary_dir(tmp_path)
-        assert (loaded.prefix_length, loaded.max_edit_distance) == (5, 1)
+        assert (manifest["prefix_length"], manifest["max_edit_distance"]) == (7, 2)
         assert loaded.variants == index.variants
         assert manifest["terms"] == len(dictionary) == len(toy_dictionary)
 
@@ -91,11 +91,11 @@ class TestArtifactDirectory:
             "locale": "de",
             "max_counts": {"asset_frequency": 29700, "download_count": 4950,
                            "word_count": 9900},
-            "max_edit_distance": 1, "prefix_length": 5, "terms": 40,
+            "max_edit_distance": 2, "prefix_length": 7, "terms": 40,
             "variants": 1}, indent=1, sort_keys=True))
         dictionary, index, _ = load_dictionary_dir(tmp_path)
         assert dictionary.locale == "de"
-        assert (index.prefix_length, index.max_edit_distance) == (5, 1)
+        assert index.variants == build_delete_index(toy_dictionary).variants
 
     def test_no_manifest_uses_library_defaults(self, tmp_path, toy_dictionary):
         write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
@@ -103,7 +103,7 @@ class TestArtifactDirectory:
         dictionary, index, manifest = load_dictionary_dir(tmp_path)
         assert manifest == {}
         assert dictionary.locale == "en"
-        assert (index.prefix_length, index.max_edit_distance) == (7, 2)
+        assert index.variants == build_delete_index(toy_dictionary).variants
 
     @pytest.mark.parametrize("text", [
         "{not json",
@@ -113,6 +113,8 @@ class TestArtifactDirectory:
         '{"locale": "en", "prefix_length": "7", "max_edit_distance": 2}',
         '{"locale": "", "prefix_length": 7, "max_edit_distance": 2}',
         '{"locale": "en", "max_edit_distance": 2}',
+        '{"locale": "en", "prefix_length": 5, "max_edit_distance": 2}',
+        '{"locale": "en", "prefix_length": 7, "max_edit_distance": 1}',
     ])
     def test_bad_manifest_is_load_error(self, tmp_path, toy_dictionary, text):
         write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
@@ -228,33 +230,30 @@ def _dict_of(terms):
 
 class TestDeleteIndex:
     def test_single_term_depth_one(self):
-        index = build_delete_index(_dict_of({"cat"}), 1, 7)
-        expected = {"cat": (0,), "at": (0,), "ct": (0,), "ca": (0,)}
-        assert index.variants == expected
+        index = build_delete_index(_dict_of({"cat"}))
+        depth_one = {"cat", "at", "ct", "ca"}
+        depth_two = {"a", "c", "t"}
+        assert index.variants == {key: (0,) for key in depth_one | depth_two}
 
     def test_shared_variant_accumulates(self):
-        index = build_delete_index(_dict_of({"at", "cat"}), 1, 7)
+        index = build_delete_index(_dict_of({"at", "cat"}))
         terms = index.terms
         hit = {terms[tid] for tid in index.variants["at"]}
         assert hit == {"at", "cat"}
-
-    def test_depth_zero_identity_only(self):
-        index = build_delete_index(_dict_of({"cat"}), 0, 7)
-        assert index.variants == {"cat": (0,)}
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ConfigError):
             build_delete_index(FrequencyDictionary().freeze())
 
     def test_long_term_keeps_full_self_key(self):
-        index = build_delete_index(_dict_of({"abcdefghij"}), 2, 7)
+        index = build_delete_index(_dict_of({"abcdefghij"}))
         assert index.variants.get("abcdefghij", ()) == (0,)
         assert index.variants.get("abcdefg", ()) == (0,)  # prefix, zero deletions
 
     @given(terms_strategy)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_every_term(self, terms):
-        index = build_delete_index(_dict_of(terms), 2, 7)
+        index = build_delete_index(_dict_of(terms))
         for tid, term in enumerate(index.terms):
             assert tid in index.variants.get(term, ())
 
@@ -264,8 +263,8 @@ class TestDeleteIndex:
         """Any term within distance 2 of the token must be retrievable from
         the intersection of delete variants."""
         d = _dict_of(terms)
-        index = build_delete_index(d, 2, 7)
-        retrieved = {index.terms[tid] for tid in index.candidate_ids(token)}
+        index = build_delete_index(d)
+        retrieved = {index.terms[tid] for tid in index.candidate_ids(token, 2)}
         for term in terms:
             if ref_damerau_levenshtein(token, term) <= 2:
                 assert term in retrieved
@@ -273,7 +272,7 @@ class TestDeleteIndex:
     @given(terms_strategy)
     @settings(max_examples=25, deadline=None)
     def test_build_is_deterministic(self, terms):
-        a = build_delete_index(_dict_of(terms), 2, 7)
-        b = build_delete_index(_dict_of(terms), 2, 7)
+        a = build_delete_index(_dict_of(terms))
+        b = build_delete_index(_dict_of(terms))
         assert a.variants == b.variants
         assert a.terms == b.terms

@@ -75,11 +75,6 @@ class TestCorrectQuery:
     def test_elapsed_is_positive(self, toy_artifacts, context):
         assert correct_query("muzeem", context, toy_artifacts).elapsed > 0
 
-    def test_missing_model_is_config_error(self, toy_artifacts, context):
-        bare = ArtifactSet(toy_artifacts.dictionary, toy_artifacts.index)
-        with pytest.raises(ConfigError):
-            correct_query("muzeem", context, bare)
-
 
 class TestBoost:
     def test_uniform_boost_never_changes_argmax(self, toy_artifacts, context):
@@ -298,13 +293,10 @@ def _term_sets(index):
 
 @given(terms=st.dictionaries(_words, st.integers(min_value=0, max_value=300),
                              min_size=1, max_size=25),
-       logs=st.lists(_logs, min_size=1, max_size=2),
-       max_edit_distance=st.integers(min_value=0, max_value=2),
-       prefix_length=st.integers(min_value=1, max_value=7))
+       logs=st.lists(_logs, min_size=1, max_size=2))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_refresh_matches_full_rebuild(tmp_path, terms, logs, max_edit_distance,
-                                      prefix_length):
+def test_refresh_matches_full_rebuild(tmp_path, terms, logs):
     """One refresh or two in a row give the dictionary that summing the logs
     into a fresh one gives, and an index that files the same terms under
     every key as a full rebuild of that dictionary."""
@@ -312,7 +304,7 @@ def test_refresh_matches_full_rebuild(tmp_path, terms, logs, max_edit_distance,
     for term, count in terms.items():
         dictionary.add(term, word_count=count, asset_frequency=count // 3)
     dictionary.freeze()
-    index = build_delete_index(dictionary, max_edit_distance, prefix_length)
+    index = build_delete_index(dictionary)
     expected = {t: list(c) for t, c in _counts(dictionary).items()}
     for rows in logs:
         log = tmp_path / "queries.tsv"
@@ -330,13 +322,11 @@ def test_refresh_matches_full_rebuild(tmp_path, terms, logs, max_edit_distance,
         new_dict, new_index = refresh_behavioral_stats(log, dictionary, index,
                                                        min_new_term_count=100)
         assert _counts(new_dict) == {t: tuple(c) for t, c in expected.items()}
-        rebuilt = build_delete_index(new_dict, max_edit_distance, prefix_length)
+        rebuilt = build_delete_index(new_dict)
         assert _term_sets(new_index) == _term_sets(rebuilt)
         assert all(list(b) == sorted(set(b)) for b in new_index.variants.values())
         assert new_index.terms[:len(index.terms)] == index.terms
         assert sorted(new_index.terms) == list(rebuilt.terms)
-        assert (new_index.max_edit_distance, new_index.prefix_length) == \
-            (max_edit_distance, prefix_length)
         dictionary, index = new_dict, new_index
 
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from queryspell import ArtifactSet, ConfigError, LoadError
+from queryspell import ConfigError, LoadError
 from queryspell import service as service_module
+from queryspell.dictionary import write_dictionary_dir
 from queryspell.service import (ENV_ARTIFACTS, ENV_LISTEN, SpellerServer,
                                 SpellerService, ServiceConfig, load_artifacts,
                                 load_config)
@@ -71,11 +72,6 @@ class TestHandleCorrect:
         status, doc = service.handle_correct({"query": "muzeem", "locale": "fr"})
         assert status == 200
 
-    def test_missing_model_gives_503(self, service):
-        snap = service.store.snapshot()
-        service.store.swap(ArtifactSet(snap.dictionary, snap.index))
-        assert service.handle_correct({"query": "museum"})[0] == 503
-
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
@@ -109,6 +105,15 @@ class TestHandleHealth:
         assert artifacts["model"]["layer_dims"][-1] == 1
         assert artifacts["versions"]["dictionary_sha"]
         assert doc["snapshot_timestamp"] > 0
+
+    def test_index_parameters_reported_from_manifest(self, artifact_dir,
+                                                     toy_dictionary, toy_index):
+        write_dictionary_dir(artifact_dir, toy_dictionary, toy_index)
+        service = SpellerService(ServiceConfig(artifact_dir=artifact_dir))
+        artifacts = service.handle_health()[1]["artifacts"]
+        assert artifacts["index"] == {"variants": len(toy_index)}
+        build = artifacts["versions"]["build"]
+        assert (build["prefix_length"], build["max_edit_distance"]) == (7, 2)
 
     def test_snapshot_timestamp_increases_after_swap(self, service):
         t0 = service.handle_health()[1]["snapshot_timestamp"]
@@ -375,6 +380,12 @@ class TestConfig:
         (artifact_dir / "manifest.json").write_text("{truncated", encoding="utf-8")
         with pytest.raises(LoadError):
             load_artifacts(ServiceConfig(artifact_dir=artifact_dir))
+
+    def test_missing_model_artifact(self, artifact_dir):
+        (artifact_dir / "model.json").unlink()
+        with pytest.raises(ConfigError) as err:
+            load_artifacts(ServiceConfig(artifact_dir=artifact_dir))
+        assert str(artifact_dir / "model.json") in str(err.value)
 
     def test_missing_dictionary_artifact(self, tmp_path):
         config = ServiceConfig(artifact_dir=tmp_path)

@@ -12,7 +12,7 @@ def _build(terms):
     for t in terms:
         d.add(t, word_count=1)
     d.freeze()
-    return d, build_delete_index(d, 2, 7)
+    return d, build_delete_index(d)
 
 
 def test_in_dictionary_token_yields_nothing(toy_dictionary, toy_index):
@@ -40,16 +40,6 @@ def test_no_candidates_returns_empty():
     assert suggest(index, d, "zzzzzz") == []
 
 
-def test_min_candidates_knob():
-    d, index = _build({"cat", "cut"})
-    # one exact-distance-1 hit is enough when the bar is 1: no escalation
-    assert [(c.term, c.edit_distance) for c in suggest(index, d, "cet", 1)] == \
-        [("cat", 1), ("cut", 1)]
-    # default bar of 3 pulls in the distance-2 terms as well
-    terms = {(c.term, c.edit_distance) for c in suggest(index, d, "cet")}
-    assert terms == {("cat", 1), ("cut", 1)}
-
-
 def test_digit_and_punctuation_tokens_correctable():
     d, index = _build({"park", "medal"})
     assert [c.term for c in suggest(index, d, "0ark")] == ["park"]
@@ -67,14 +57,12 @@ dict_strategy = st.sets(st.text(alphabet="abcd", min_size=1, max_size=8),
                         min_size=1, max_size=60)
 
 
-@given(dict_strategy, st.text(alphabet="abcde", min_size=1, max_size=9),
-       st.integers(min_value=1, max_value=5))
+@given(dict_strategy, st.text(alphabet="abcde", min_size=1, max_size=9))
 @settings(max_examples=200, deadline=None)
-def test_oracle_equivalence(terms, token, min_candidates):
+def test_oracle_equivalence(terms, token):
     d, index = _build(terms)
-    got = {(c.term, c.edit_distance)
-           for c in suggest(index, d, token, min_candidates)}
-    expected = set(brute_force_suggest(terms, token, min_candidates).items())
+    got = {(c.term, c.edit_distance) for c in suggest(index, d, token)}
+    expected = set(brute_force_suggest(terms, token).items())
     assert got == expected
 
 
