@@ -181,18 +181,32 @@ class DeleteIndex:
     Each term is filed under its ``_index_keys``; values reference terms by
     id into ``terms``, each bucket in ascending id order.  Ids follow the
     lexicographic term order only in a fresh ``build_delete_index``: terms
-    added by ``with_terms`` are appended.  Candidate retrieval looks up the
-    same keys of the input token and unions the buckets; distance
-    verification happens downstream on full strings.
+    added by ``with_terms`` are appended.  The buckets live in the build's
+    map, shared by every index derived from it, and a small map of the
+    merged buckets of each key that refreshes touched, which ``bucket``
+    reads first; a refresh copies only that small map.  Candidate retrieval
+    looks up the same keys of the input token and unions the buckets;
+    distance verification happens downstream on full strings.
     """
 
-    def __init__(self, terms: tuple[str, ...], variants: dict[str, tuple[int, ...]]):
+    def __init__(self, terms: tuple[str, ...], base: dict[str, tuple[int, ...]],
+                 touched: dict[str, tuple[int, ...]] | None = None,
+                 term_lengths: tuple[int, ...] | None = None):
         self.terms = terms
-        self.term_lengths = tuple(len(t) for t in terms)
-        self.variants = variants
+        self.term_lengths = (tuple(map(len, terms)) if term_lengths is None
+                             else term_lengths)
+        self._base = base
+        self._touched = touched or {}
+        self._keys = len(base) + sum(key not in base for key in self._touched)
 
     def __len__(self) -> int:
-        return len(self.variants)
+        """The number of distinct keys."""
+        return self._keys
+
+    def bucket(self, key: str) -> tuple[int, ...]:
+        """The ids filed under ``key``, ascending; empty for a key never
+        filed."""
+        return self._touched.get(key) or self._base.get(key, ())
 
     def candidate_ids(self, token: str, depth: int) -> set[int]:
         """Term ids whose stored variants intersect the token's variants.
@@ -202,9 +216,9 @@ class DeleteIndex:
         ``MAX_EDIT_DISTANCE``.
         """
         found: set[int] = set()
-        get = self.variants.get
+        touched, base = self._touched.get, self._base.get
         for key in _index_keys(token, depth):
-            bucket = get(key)
+            bucket = touched(key) or base(key)  # ``self.bucket``, inlined
             if bucket:
                 found.update(bucket)
         return found
@@ -212,38 +226,37 @@ class DeleteIndex:
     def with_terms(self, new_terms: Iterable[str]) -> "DeleteIndex":
         """A new index that also holds ``new_terms``, none of which may be
         here already.  They take the ids ``len(self.terms)`` onwards in sorted
-        order, so every bucket stays in ascending id order.  Only the buckets
-        of their keys are replaced; every other bucket is shared, and this
+        order, so every bucket stays in ascending id order.  Only the small
+        map of the keys that refreshes touched is copied, with the merged
+        buckets of the new terms' keys; the build's map is shared, and this
         index is left as it was."""
         added = sorted(new_terms)
-        variants = dict(self.variants)
-        get = variants.get
+        touched = dict(self._touched)
         for tid, term in enumerate(added, start=len(self.terms)):
             for key in _index_keys(term, MAX_EDIT_DISTANCE):
-                variants[key] = get(key, ()) + (tid,)
-        return DeleteIndex(self.terms + tuple(added), variants)
+                touched[key] = (touched.get(key) or self.bucket(key)) + (tid,)
+        return DeleteIndex(self.terms + tuple(added), self._base, touched,
+                           self.term_lengths + tuple(map(len, added)))
 
 
 def build_delete_index(dictionary: FrequencyDictionary) -> DeleteIndex:
     """Precompute the delete-variant map for every dictionary term.
 
-    Deterministic: identical inputs produce identical variant maps (terms are
-    id-ordered lexicographically, buckets sorted).  ``DeleteIndex.with_terms``
-    extends such an index without this full rebuild.
+    One pass: terms take ids in lexicographic order and each is appended to
+    the bucket of every key it is filed under, so buckets come out
+    ascending with no sort.  Deterministic: identical inputs produce
+    identical buckets.  ``DeleteIndex.with_terms`` extends such an index
+    without this full rebuild, copying only the keys that refreshes touched.
     """
     if len(dictionary) == 0:
         raise ConfigError("cannot build a delete index over an empty dictionary")
     terms = tuple(sorted(dictionary.terms()))
-    variants: dict[str, set[int]] = {}
+    variants: dict[str, tuple[int, ...]] = {}
+    get = variants.get
     for tid, term in enumerate(terms):
         for key in _index_keys(term, MAX_EDIT_DISTANCE):
-            bucket = variants.get(key)
-            if bucket is None:
-                variants[key] = {tid}
-            else:
-                bucket.add(tid)
-    frozen = {key: tuple(sorted(bucket)) for key, bucket in variants.items()}
-    return DeleteIndex(terms, frozen)
+            variants[key] = get(key, ()) + (tid,)
+    return DeleteIndex(terms, variants)
 
 
 def parse_count(raw: str, path, line_no: int, what: str) -> int:
@@ -379,7 +392,9 @@ def load_dictionary_dir(directory) -> tuple[FrequencyDictionary, DeleteIndex, di
 
     The dictionary locale comes from the manifest that
     ``write_dictionary_dir`` left there; only a directory without a manifest
-    falls back to ``DEFAULT_LOCALE``.
+    falls back to ``DEFAULT_LOCALE``.  A manifest that records another
+    number of terms than ``dictionary.tsv`` holds belongs to another
+    dictionary, and is a LoadError.
     """
     base = Path(directory)
     lexicon = base / "dictionary.tsv"
@@ -389,6 +404,11 @@ def load_dictionary_dir(directory) -> tuple[FrequencyDictionary, DeleteIndex, di
     stats = base / "stats.tsv"
     dictionary = load_dictionary(lexicon, stats_file=stats if stats.exists() else None,
                                  locale=manifest.get("locale", DEFAULT_LOCALE))
+    terms = manifest.get("terms", len(dictionary))
+    if terms != len(dictionary):
+        raise LoadError(f"manifest records {terms!r} terms, but {lexicon.name} holds "
+                        f"{len(dictionary)}; rebuild the directory with "
+                        "`speller build-index`", base / MANIFEST_FILE)
     return dictionary, build_delete_index(dictionary), manifest
 
 

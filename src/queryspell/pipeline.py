@@ -4,8 +4,9 @@ Request flow: MWE rewrite -> tokenize -> per-token dictionary check /
 suggest / rank -> postprocessor boost -> threshold acceptance -> assembly.
 The request path is read-only over an immutable artifact snapshot; refresh
 derives a new dictionary + index that share every entry and index bucket
-the query log leaves untouched, and the caller publishes them with an
-atomic swap.
+the query log leaves untouched (the index copies only the keys that
+refreshes touched, never the build's map), and the caller publishes them
+with an atomic swap.
 """
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ def refresh_behavioral_stats(query_log, dictionary: FrequencyDictionary,
     occurrences into word_count; unseen terms enter the dictionary only when
     they clear ``min_new_term_count`` (so stray misspellings stay out).
     ``index`` must be the delete index of ``dictionary``.  The new index is
-    ``index`` with the variants of the admitted terms merged in, so a
-    refresh costs what the log touches, not what the dictionary holds.  The
+    ``index`` with the variants of the admitted terms merged in: it shares
+    the build's map and copies only the keys that refreshes touched, so a
+    refresh costs what the logs touch, not what the dictionary holds.  The
     input artifacts are untouched; the caller swaps in the returned pair.
     """
     if len(index.terms) != len(dictionary):

@@ -234,6 +234,19 @@ class TestRefreshManifest:
         assert manifest["variants"] == len(rebuilt) > len(build_delete_index(toy_dictionary))
         assert not [p.name for p in artifact_dir.iterdir() if p.name.endswith(".tmp")]
 
+    def test_manifest_of_another_dictionary_is_refused(self, artifact_dir, toy_dictionary,
+                                                       capsys):
+        write_dictionary_dir(artifact_dir, toy_dictionary,
+                             build_delete_index(toy_dictionary))
+        with open(artifact_dir / "dictionary.tsv", "a", encoding="utf-8") as fh:
+            fh.write("blockchain\t500\n")
+        with pytest.raises(LoadError, match="manifest.json") as err:
+            load_dictionary_dir(artifact_dir)
+        assert "records 40 terms, but dictionary.tsv holds 41" in str(err.value)
+        assert cli_main(["correct", "--artifacts", str(artifact_dir), "muzeem"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("speller:") and "speller build-index" in err
+
     def test_refresh_without_manifest_writes_one(self, artifact_dir):
         log = artifact_dir / "log.tsv"
         log.write_text("museum\t1\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from queryspell import (ConfigError, DictionaryEntry, FrequencyDictionary,
                         LoadError, build_delete_index, generate_deletes,
                         load_dictionary, write_dictionary)
-from queryspell.dictionary import load_dictionary_dir, write_dictionary_dir
+from queryspell.dictionary import (MAX_EDIT_DISTANCE, _index_keys, load_dictionary_dir,
+                                   write_dictionary_dir)
 
 from oracles import deletes_by_combinations, ref_damerau_levenshtein
+from synthetic_corpus import make_vocabulary
 
 terms_strategy = st.sets(st.text(alphabet="abcde", min_size=1, max_size=7),
                          min_size=1, max_size=80)
@@ -20,6 +23,13 @@ terms_strategy = st.sets(st.text(alphabet="abcde", min_size=1, max_size=7),
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _contents(index):
+    """Every key the index's terms are filed under, with its bucket as
+    ``DeleteIndex.bucket`` reads it."""
+    return {key: index.bucket(key) for term in index.terms
+            for key in _index_keys(term, MAX_EDIT_DISTANCE)}
 
 
 class TestLoading:
@@ -81,7 +91,7 @@ class TestArtifactDirectory:
         write_dictionary_dir(tmp_path, toy_dictionary, index)
         dictionary, loaded, manifest = load_dictionary_dir(tmp_path)
         assert (manifest["prefix_length"], manifest["max_edit_distance"]) == (7, 2)
-        assert loaded.variants == index.variants
+        assert _contents(loaded) == _contents(index)
         assert manifest["terms"] == len(dictionary) == len(toy_dictionary)
 
     def test_manifest_as_written_by_earlier_builds(self, tmp_path, toy_dictionary):
@@ -95,7 +105,7 @@ class TestArtifactDirectory:
             "variants": 1}, indent=1, sort_keys=True))
         dictionary, index, _ = load_dictionary_dir(tmp_path)
         assert dictionary.locale == "de"
-        assert index.variants == build_delete_index(toy_dictionary).variants
+        assert _contents(index) == _contents(build_delete_index(toy_dictionary))
 
     def test_no_manifest_uses_library_defaults(self, tmp_path, toy_dictionary):
         write_dictionary(toy_dictionary, tmp_path / "dictionary.tsv",
@@ -103,7 +113,7 @@ class TestArtifactDirectory:
         dictionary, index, manifest = load_dictionary_dir(tmp_path)
         assert manifest == {}
         assert dictionary.locale == "en"
-        assert index.variants == build_delete_index(toy_dictionary).variants
+        assert _contents(index) == _contents(build_delete_index(toy_dictionary))
 
     @pytest.mark.parametrize("text", [
         "{not json",
@@ -233,12 +243,13 @@ class TestDeleteIndex:
         index = build_delete_index(_dict_of({"cat"}))
         depth_one = {"cat", "at", "ct", "ca"}
         depth_two = {"a", "c", "t"}
-        assert index.variants == {key: (0,) for key in depth_one | depth_two}
+        assert _contents(index) == {key: (0,) for key in depth_one | depth_two}
+        assert len(index) == 7
 
     def test_shared_variant_accumulates(self):
         index = build_delete_index(_dict_of({"at", "cat"}))
         terms = index.terms
-        hit = {terms[tid] for tid in index.variants["at"]}
+        hit = {terms[tid] for tid in index.bucket("at")}
         assert hit == {"at", "cat"}
 
     def test_empty_dictionary_rejected(self):
@@ -247,15 +258,16 @@ class TestDeleteIndex:
 
     def test_long_term_keeps_full_self_key(self):
         index = build_delete_index(_dict_of({"abcdefghij"}))
-        assert index.variants.get("abcdefghij", ()) == (0,)
-        assert index.variants.get("abcdefg", ()) == (0,)  # prefix, zero deletions
+        assert index.bucket("abcdefghij") == (0,)
+        assert index.bucket("abcdefg") == (0,)  # prefix, zero deletions
+        assert index.bucket("abcdefgh") == ()  # neither the term nor a prefix delete
 
     @given(terms_strategy)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_every_term(self, terms):
         index = build_delete_index(_dict_of(terms))
         for tid, term in enumerate(index.terms):
-            assert tid in index.variants.get(term, ())
+            assert tid in index.bucket(term)
 
     @given(terms_strategy, st.text(alphabet="abcde", min_size=1, max_size=9))
     @settings(max_examples=150, deadline=None)
@@ -274,5 +286,47 @@ class TestDeleteIndex:
     def test_build_is_deterministic(self, terms):
         a = build_delete_index(_dict_of(terms))
         b = build_delete_index(_dict_of(terms))
-        assert a.variants == b.variants
+        assert _contents(a) == _contents(b)
+        assert len(a) == len(b) == len(_contents(a))
         assert a.terms == b.terms
+
+
+def _traced(call):
+    """``call()``'s result, the bytes it left allocated and the peak of
+    the bytes it held allocated on the way, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - before
+
+
+class TestIndexMemory:
+    """The index costs what it keeps: its build holds no transient copy of
+    the buckets, and extending it copies no more than the keys it touches."""
+
+    @pytest.fixture(scope="class")
+    def vocabulary_dictionary(self):
+        return _dict_of(word for word, _ in make_vocabulary(5000, 11))
+
+    def test_build_peak_is_the_finished_index(self, vocabulary_dictionary):
+        index, kept, peak = _traced(lambda: build_delete_index(vocabulary_dictionary))
+        assert len(index) > 100_000
+        assert peak <= 1.25 * kept, (peak, kept)
+
+    def test_adding_a_term_copies_only_its_keys(self, vocabulary_dictionary):
+        index = build_delete_index(vocabulary_dictionary)
+        tokens = ["blockchian", "bolckchain", *index.terms[:50]]
+        before = {token: (index.candidate_ids(token, 1), index.candidate_ids(token, 2))
+                  for token in tokens}
+        grown, _, peak = _traced(lambda: index.with_terms(["blockchain"]))
+        assert peak < 2 ** 20, peak
+        assert grown.terms == index.terms + ("blockchain",)
+        assert {token: (index.candidate_ids(token, 1), index.candidate_ids(token, 2))
+                for token in tokens} == before
+        assert all(len(index.terms) in grown.candidate_ids(token, 2)
+                   for token in ("blockchian", "bolckchain"))

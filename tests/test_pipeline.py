@@ -5,12 +5,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from queryspell import (ArtifactSet, ArtifactStore, BoostConfig, BoostRule, Candidate,
-                        ConfigError, FrequencyDictionary, LoadError, RequestContext,
-                        build_delete_index, correct_query, extract_features,
-                        refresh_behavioral_stats, tokenize)
+                        ConfigError, FrequencyDictionary, LoadError, build_delete_index,
+                        correct_query, extract_features, refresh_behavioral_stats,
+                        tokenize)
 from queryspell import dictionary as dictionary_module
 from queryspell import pipeline as pipeline_module
+from queryspell.dictionary import MAX_EDIT_DISTANCE, _index_keys
 from queryspell.pipeline import load_boost_config
+
+
+def _contents(index):
+    """Every key the index's terms are filed under, with its bucket as
+    ``DeleteIndex.bucket`` reads it."""
+    return {key: index.bucket(key) for term in index.terms
+            for key in _index_keys(term, MAX_EDIT_DISTANCE)}
 
 
 class TestTokenize:
@@ -180,8 +188,9 @@ class TestRefresh:
                 for t, e in zip(new_dict.terms(), new_dict.entries())} == \
                {t: (e.word_count, e.asset_frequency, e.download_count)
                 for t, e in zip(toy_dictionary.terms(), toy_dictionary.entries())}
-        assert new_index.variants == toy_index.variants
+        assert _contents(new_index) == _contents(toy_index)
         assert new_index.terms == toy_index.terms
+        assert len(new_index) == len(toy_index)
 
     def test_malformed_log_reports_line(self, tmp_path, toy_dictionary, toy_index):
         path = tmp_path / "queries.tsv"
@@ -211,7 +220,7 @@ class TestRefresh:
         counts = {t: (e.word_count, e.asset_frequency, e.download_count)
                   for t, e in entries.items()}
         terms = toy_index.terms
-        buckets = dict(toy_index.variants)
+        buckets = _contents(toy_index)
         log = self._write_log(tmp_path, [("museum", 100000), ("blockchain", 1000)])
         new_dict, new_index = refresh_behavioral_stats(log, toy_dictionary, toy_index)
 
@@ -221,17 +230,15 @@ class TestRefresh:
         assert {t: (e.word_count, e.asset_frequency, e.download_count)
                 for t, e in entries.items()} == counts
         assert toy_index.terms == terms
-        assert toy_index.variants.keys() == buckets.keys()
-        assert all(toy_index.variants[k] is b for k, b in buckets.items())
+        assert len(toy_index) == len(buckets)
+        assert all(toy_index.bucket(k) is b for k, b in buckets.items())
 
         assert new_dict.get("museum") is not toy_dictionary.get("museum")
         assert all(new_dict.get(t) is e for t, e in entries.items() if t != "museum")
         blockchain = new_index.terms.index("blockchain")
         assert blockchain == len(terms)
-        alone = FrequencyDictionary()
-        alone.add("blockchain")
-        blockchain_keys = set(build_delete_index(alone.freeze()).variants)
-        for key, bucket in new_index.variants.items():
+        blockchain_keys = _index_keys("blockchain", MAX_EDIT_DISTANCE)
+        for key, bucket in _contents(new_index).items():
             if key in blockchain_keys:
                 assert bucket == buckets.get(key, ()) + (blockchain,)
             else:
@@ -288,18 +295,20 @@ def _counts(dictionary):
 
 def _term_sets(index):
     return {key: {index.terms[tid] for tid in bucket}
-            for key, bucket in index.variants.items()}
+            for key, bucket in _contents(index).items()}
 
 
 @given(terms=st.dictionaries(_words, st.integers(min_value=0, max_value=300),
                              min_size=1, max_size=25),
-       logs=st.lists(_logs, min_size=1, max_size=2))
+       logs=st.lists(_logs, min_size=1, max_size=3),
+       tokens=st.lists(_words, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_refresh_matches_full_rebuild(tmp_path, terms, logs):
-    """One refresh or two in a row give the dictionary that summing the logs
-    into a fresh one gives, and an index that files the same terms under
-    every key as a full rebuild of that dictionary."""
+def test_refresh_matches_full_rebuild(tmp_path, terms, logs, tokens):
+    """Up to three refreshes in a row give the dictionary that summing the
+    logs into a fresh one gives, and an index that files the same terms
+    under every key, and retrieves the same terms for any token at depth 1
+    and 2, as a full rebuild of that dictionary."""
     dictionary = FrequencyDictionary()
     for term, count in terms.items():
         dictionary.add(term, word_count=count, asset_frequency=count // 3)
@@ -324,9 +333,15 @@ def test_refresh_matches_full_rebuild(tmp_path, terms, logs):
         assert _counts(new_dict) == {t: tuple(c) for t, c in expected.items()}
         rebuilt = build_delete_index(new_dict)
         assert _term_sets(new_index) == _term_sets(rebuilt)
-        assert all(list(b) == sorted(set(b)) for b in new_index.variants.values())
+        assert len(new_index) == len(rebuilt)
+        assert all(list(b) == sorted(set(b)) for b in _contents(new_index).values())
         assert new_index.terms[:len(index.terms)] == index.terms
         assert sorted(new_index.terms) == list(rebuilt.terms)
+        assert new_index.term_lengths == tuple(map(len, new_index.terms))
+        for token in tokens + list(occurrences):
+            for depth in (1, 2):
+                assert ({new_index.terms[i] for i in new_index.candidate_ids(token, depth)}
+                        == {rebuilt.terms[i] for i in rebuilt.candidate_ids(token, depth)})
         dictionary, index = new_dict, new_index
 
 
